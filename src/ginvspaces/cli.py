@@ -127,6 +127,11 @@ def validate_common(args) -> None:
         raise SpecParseError("--max-group-order must be positive")
 
 
+def require_at_least(value: int, least: int, flag: str) -> None:
+    if value < least:
+        raise SpecParseError(f"{flag} must be at least {least}")
+
+
 def resolve_group(spec: str, action_kind: str, cap: int):
     if spec == "-":
         spec = sys.stdin.read()
@@ -141,6 +146,8 @@ def resolve_group(spec: str, action_kind: str, cap: int):
 
 def run_decompose(args) -> dict:
     validate_common(args)
+    require_at_least(args.schur_trials, 0, "--schur-trials")
+    require_at_least(args.structure_trials, 0, "--structure-trials")
     action = resolve_group(args.group, args.action, args.max_group_order)
     if not is_transitive(action):
         raise NotTransitive("the decomposition pipeline requires a transitive action")
@@ -381,6 +388,9 @@ def run_torus(args) -> dict:
         raise SpecParseError(f"torus dimension must be 1..{torus_model.MAX_TORUS_DIM}")
     if not 0 <= args.degree <= 16:
         raise SpecParseError("degree must be in 0..16")
+    require_at_least(args.unitarity_trials, 0, "--unitarity-trials")
+    require_at_least(args.fejer_functions, 1, "--fejer-functions")
+    require_at_least(args.polydisc_trials, 0, "--polydisc-trials")
     n, degree, seed = args.n, args.degree, args.seed
 
     fejer_profiles, fejer_monotone = torus_model.fejer_monotonicity(
@@ -433,7 +443,7 @@ def run_torus(args) -> dict:
     if args.monomials is not None:
         f = parse_monomials(args.monomials, n, degree)
         section = {
-            "input": [{"k": list(k), "coeff": f.coeffs[k]} for k in f.support()],
+            "input": [{"k": list(k), "coeff": f.coefficient(k)} for k in f.support()],
         }
         if args.fejer is not None:
             if args.fejer < 0:
@@ -441,7 +451,7 @@ def run_torus(args) -> dict:
             smoothed = torus_model.fejer_smooth(f, args.fejer)
             section["fejer_degree"] = args.fejer
             section["smoothed"] = [
-                {"k": list(k), "coeff": smoothed.coeffs[k]} for k in smoothed.support()
+                {"k": list(k), "coeff": smoothed.coefficient(k)} for k in smoothed.support()
             ]
         if args.check_polydisc:
             section["polydisc"] = torus_model.polydisc_signature(f)

@@ -294,10 +294,13 @@ def _group_from_mapping(payload, cap: int) -> GroupAction:
         raise SpecParseError('group JSON needs "points" and "generators"')
     n = payload["points"]
     gens = payload["generators"]
-    if not isinstance(n, int) or not isinstance(gens, list) or not gens:
+    # JSON true/false parse to bool, a subclass of int
+    if isinstance(n, bool) or not isinstance(n, int) or not isinstance(gens, list) or not gens:
         raise SpecParseError("group JSON fields have the wrong shape")
     perms = []
     for images in gens:
+        if isinstance(images, list) and any(isinstance(v, bool) for v in images):
+            raise SpecParseError("generator entries must be integers, not booleans")
         perm = Permutation(images)
         if perm.n != n:
             raise SpecParseError("generator length does not match the point count")

@@ -1,14 +1,16 @@
 """Truncated Fourier model of rotation-invariant function spaces on the n-torus.
 
-Functions are finitely supported coefficient maps k -> c_k inside the degree
-box |k|_inf <= d, for n up to 3. Rotations act by coefficient-wise unimodular
-multipliers, so inner products are exact (Parseval under the normalized
-measure) and every verified identity is a statement about coefficients.
+A function of n <= 3 variables is one complex array over the degree box
+|k|_inf <= d, holding the coefficient of z**k at k + d. Rotations, Fejer
+smoothing and projections act cell-wise on it and inner products are Parseval
+sums (normalized measure), so every verified identity is about coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,68 +43,97 @@ class TorusPoint:
 
 
 class FourierFunction:
-    """Sparse trigonometric polynomial: coefficients on multi-indices in a box."""
+    """Trigonometric polynomial stored as ``array``: read-only, shape (2d+1,)*n,
+    C order = lexicographic order of k. The constructor validates a mapping
+    k -> c_k (repeated keys add up)."""
 
-    __slots__ = ("n", "degree", "coeffs")
+    __slots__ = ("array",)
 
     def __init__(self, n: int, degree: int, coeffs) -> None:
         if not 1 <= n <= MAX_TORUS_DIM:
             raise DimensionMismatch(f"torus dimension must be 1..{MAX_TORUS_DIM}")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        clean = {}
-        for k, c in coeffs.items():
-            key = _as_key(k, n)
-            if any(abs(kj) > degree for kj in key):
-                raise ValueError(f"multi-index {key} outside the degree-{degree} box")
-            val = complex(c)
-            if not (np.isfinite(val.real) and np.isfinite(val.imag)):
-                raise ValueError("coefficients must be finite")
-            if val != 0:
-                clean[key] = clean.get(key, 0j) + val
-        self.n = int(n)
-        self.degree = int(degree)
-        self.coeffs = {k: v for k, v in clean.items() if v != 0}
+        keys = np.array([_as_key(k, n) for k in coeffs], dtype=np.int64).reshape(-1, n)
+        values = np.array([complex(c) for c in coeffs.values()], dtype=complex)
+        if not np.isfinite(values).all():
+            raise ValueError("coefficients must be finite")
+        self.array = _summed(_cells(keys, degree), values, (2 * degree + 1,) * n)
+        self.array.setflags(write=False)
+
+    @classmethod
+    def _of(cls, array: np.ndarray) -> "FourierFunction":  # wraps without validation
+        f = object.__new__(cls)
+        array.setflags(write=False)
+        f.array = array
+        return f
+
+    n = property(lambda self: self.array.ndim)
+    degree = property(lambda self: self.array.shape[0] // 2)
+
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only view {k: c_k} of the nonzero coefficients, keys sorted."""
+        return MappingProxyType(dict(zip(self.support(), self.array[self.array != 0].tolist())))
 
     def support(self) -> tuple:
-        return tuple(sorted(self.coeffs))
+        return tuple(map(tuple, (np.argwhere(self.array) - self.degree).tolist()))
 
     def coefficient(self, k) -> complex:
-        return self.coeffs.get(_as_key(k, self.n), 0j)
+        key = _as_key(k, self.n)
+        inside = max(map(abs, key)) <= self.degree
+        return complex(self.array[tuple(kj + self.degree for kj in key)]) if inside else 0j
 
     def norm2(self) -> float:
-        return float(np.sqrt(sum(abs(c) ** 2 for _, c in sorted(self.coeffs.items()))))
+        return float(np.linalg.norm(self.array))
 
-    def __add__(self, other: "FourierFunction") -> "FourierFunction":
+    def _aligned(self, other: "FourierFunction") -> tuple:
+        """Both arrays zero-padded to the larger of the two degree boxes."""
         if self.n != other.n:
             raise DimensionMismatch("dimension mismatch")
-        merged = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            merged[k] = merged.get(k, 0j) + c
-        return FourierFunction(self.n, max(self.degree, other.degree), merged)
+        degree = max(self.degree, other.degree)
+        return tuple(np.pad(f.array, degree - f.degree) for f in (self, other))
+
+    def __add__(self, other: "FourierFunction") -> "FourierFunction":
+        return FourierFunction._of(np.add(*self._aligned(other)))
 
     def __sub__(self, other: "FourierFunction") -> "FourierFunction":
-        return self + (-1.0) * other
+        return FourierFunction._of(np.subtract(*self._aligned(other)))
 
     def __mul__(self, scalar) -> "FourierFunction":
-        return FourierFunction(
-            self.n, self.degree, {k: c * complex(scalar) for k, c in self.coeffs.items()}
-        )
+        out = self.array * complex(scalar)
+        if not np.isfinite(out).all():
+            raise ValueError("coefficients must be finite")
+        return FourierFunction._of(out)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        return f"FourierFunction(n={self.n}, degree={self.degree}, terms={len(self.coeffs)})"
+        terms = np.count_nonzero(self.array)
+        return f"FourierFunction(n={self.n}, degree={self.degree}, terms={terms})"
 
 
 def _as_key(k, n: int) -> tuple:
-    if isinstance(k, int):
-        key = (k,)
-    else:
-        key = tuple(int(kj) for kj in k)
+    key = (k,) if isinstance(k, int) else tuple(int(kj) for kj in k)
     if len(key) != n:
         raise DimensionMismatch(f"multi-index {key} has length {len(key)}, expected {n}")
     return key
+
+
+def _cells(keys: np.ndarray, degree: int) -> np.ndarray:
+    """Flat positions in the degree-box array of the multi-indices (rows of keys)."""
+    outside = np.abs(keys).max(axis=1, initial=0) > degree
+    if outside.any():
+        key = tuple(keys[outside][0].tolist())
+        raise ValueError(f"multi-index {key} outside the degree-{degree} box")
+    return np.ravel_multi_index(tuple((keys + degree).T), (2 * degree + 1,) * keys.shape[1])
+
+
+def _summed(cells: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray:
+    """Box array holding at each cell the sum of the values sent to it."""
+    flat = np.zeros(int(np.prod(shape)), dtype=complex)
+    np.add.at(flat, cells, values)
+    return flat.reshape(shape)
 
 
 def monomial(n: int, degree: int, k, coeff=1.0) -> FourierFunction:
@@ -113,71 +144,59 @@ def act(w: TorusPoint, f: FourierFunction) -> FourierFunction:
     """Rotation by w: each coefficient picks up the unimodular factor w**k."""
     if w.n != f.n:
         raise DimensionMismatch("rotation and function dimensions differ")
-    out = {}
-    for k, c in f.coeffs.items():
-        factor = complex(np.prod([w.w[j] ** k[j] for j in range(f.n)]))
-        out[k] = c * factor
-    return FourierFunction(f.n, f.degree, out)
+    powers = np.arange(-f.degree, f.degree + 1)
+    return FourierFunction._of(f.array * reduce(np.multiply.outer, [wj**powers for wj in w.w]))
 
 
 def inner_product(f: FourierFunction, g: FourierFunction) -> complex:
-    """Parseval sum over the common support (normalized measure, total mass 1)."""
-    if f.n != g.n:
-        raise DimensionMismatch("dimension mismatch")
-    total = 0j
-    for k in sorted(set(f.coeffs) & set(g.coeffs)):
-        total += f.coeffs[k] * np.conj(g.coeffs[k])
-    return complex(total)
+    """Parseval sum over the degree box (normalized measure, total mass 1)."""
+    a, b = f._aligned(g)
+    return complex(np.vdot(b, a))
 
 
 def project_k(f: FourierFunction, k) -> FourierFunction:
     """Projection onto the single-monomial space of power k."""
-    key = _as_key(k, f.n)
-    if any(abs(kj) > f.degree for kj in key):
-        raise ValueError(f"multi-index {key} outside the degree-{f.degree} box")
-    c = f.coeffs.get(key, 0j)
-    return FourierFunction(f.n, f.degree, {key: c} if c != 0 else {})
-
-
-def fejer_multiplier(k, d: int) -> float:
-    """Coefficient damping of convolution with the n-fold Fejer kernel of degree d."""
-    out = 1.0
-    for kj in k:
-        out *= max(0.0, 1.0 - abs(kj) / (d + 1))
-    return out
+    cell = _cells(np.array([_as_key(k, f.n)]), f.degree)
+    return FourierFunction._of(_summed(cell, f.array.flat[cell], f.array.shape))
 
 
 def fejer_smooth(f: FourierFunction, d: int) -> FourierFunction:
     """Convolution with the product Fejer kernel: a nonnegative unit-mass mollifier."""
     if d < 0:
         raise ValueError("Fejer degree must be nonnegative")
-    return FourierFunction(
-        f.n, f.degree, {k: c * fejer_multiplier(k, d) for k, c in f.coeffs.items()}
-    )
+    damping = np.maximum(0.0, 1.0 - np.abs(np.arange(-f.degree, f.degree + 1)) / (d + 1))
+    return FourierFunction._of(f.array * reduce(np.multiply.outer, [damping] * f.n))
 
 
 def polydisc_signature(f: FourierFunction) -> bool:
     """True iff every supported multi-index has nonnegative coordinates."""
-    return all(min(k) >= 0 for k in f.coeffs)
+    orthant = f.array[(slice(f.degree, None),) * f.n]
+    return bool(np.count_nonzero(orthant) == np.count_nonzero(f.array))
+
+
+def annihilating_functional(omega: np.ndarray, g: np.ndarray) -> tuple:
+    """Evaluate the functional separating g from the span of the monomials at the
+    cells omega masks (omega and g broadcast, flat box cells on axis 0).
+
+    It pairs against the component of g outside the span, scaled to pair to 1
+    with g (zero when g lies in the span). Returns (vanishes, value): whether
+    it is 0 on every omega monomial, and its value on g."""
+    outside = np.where(omega, 0, g)
+    norm_sq = (outside * outside.conj()).real.sum(axis=0)
+    functional = outside / np.where(norm_sq > 0, norm_sq, 1.0)
+    # its value on the monomial at cell k is the conjugated entry at k
+    vanishes = ~np.any(omega & (functional != 0), axis=0)
+    return vanishes, (g * functional.conj()).sum(axis=0)
 
 
 def separation_check(omega, g: FourierFunction) -> bool:
-    """Separate g from the span of the monomials indexed by omega.
-
-    Builds the annihilating functional: pairing against the normalized
-    component of g outside the span. It vanishes on the span exactly (disjoint
-    supports) and takes real value 1 on g; returns True when that separation
-    exists, False when g has no component outside the span.
-    """
-    omega_keys = {_as_key(k, g.n) for k in omega}
-    outside = {k: c for k, c in g.coeffs.items() if k not in omega_keys}
-    if not outside:
-        return False
-    norm_sq = sum(abs(c) ** 2 for _, c in sorted(outside.items()))
-    # pairing of any omega-monomial with the outside component is identically 0
-    vanishes = all(k not in outside for k in omega_keys)
-    value = sum(g.coeffs[k] * np.conj(c) for k, c in sorted(outside.items())) / norm_sq
-    return vanishes and value.real >= 0.5
+    """Separate g from the span of the monomials indexed by omega: True when the
+    annihilating functional vanishes on the span and takes value 1 on g."""
+    keys = np.array([_as_key(k, g.n) for k in omega], dtype=np.int64).reshape(-1, g.n)
+    mask = np.zeros(g.array.size, dtype=bool)
+    mask[_cells(keys[np.abs(keys).max(axis=1, initial=0) <= g.degree], g.degree)] = True
+    vanishes, value = annihilating_functional(mask, g.array.reshape(-1))
+    return bool(vanishes and value.real >= 0.5)
 
 
 # -- verification suites (shared by the CLI and the acceptance tests) --------
@@ -185,20 +204,19 @@ def separation_check(omega, g: FourierFunction) -> bool:
 
 def box_indices(n: int, degree: int) -> list:
     """All multi-indices of the degree box, lexicographically sorted."""
-    return sorted(itertools.product(range(-degree, degree + 1), repeat=n))
+    return list(itertools.product(range(-degree, degree + 1), repeat=n))
 
 
 def random_function(n: int, degree: int, rng, max_terms: int = 12) -> FourierFunction:
-    """Seeded random function with at least one nonconstant supported index."""
-    box = box_indices(n, degree)
-    nonzero = [k for k in box if any(k)] or box
-    m = int(rng.integers(1, min(max_terms, len(box)) + 1))
-    picks = [nonzero[int(rng.integers(len(nonzero)))]]
-    picks += [box[int(i)] for i in rng.integers(0, len(box), size=m)]
-    coeffs = {}
-    for k in picks:
-        coeffs[k] = complex(rng.standard_normal(), rng.standard_normal())
-    return FourierFunction(n, degree, coeffs)
+    """Seeded random function with at least one nonconstant supported index;
+    a cell drawn twice keeps the last of its complex normal draws."""
+    size = (2 * degree + 1) ** n
+    m = int(rng.integers(1, min(max_terms, size) + 1))
+    first = int(rng.integers(max(size - 1, 1)))  # skips the origin's cell, size // 2
+    cells = np.concatenate([[first + (0 < size // 2 <= first)], rng.integers(0, size, size=m)])
+    values = rng.standard_normal((m + 1, 2)).view(complex)[:, 0]  # (real, imag) draw pairs
+    last = m - np.unique(cells[::-1], return_index=True)[1]
+    return FourierFunction._of(_summed(cells[last], values[last], (2 * degree + 1,) * n))
 
 
 def random_point(n: int, rng) -> TorusPoint:
@@ -206,25 +224,21 @@ def random_point(n: int, rng) -> TorusPoint:
 
 
 def monomial_orthonormality_residual(n: int, degree: int, seed: int = 0) -> float:
-    """Deviation of monomial inner products from the identity pattern.
-
-    Exhaustive over the box when small, seeded sampling otherwise.
-    """
-    box = box_indices(n, degree)
-    worst = 0.0
-    for k in box:
-        worst = max(worst, abs(inner_product(monomial(n, degree, k), monomial(n, degree, k)) - 1.0))
-    if len(box) ** 2 <= 100_000:
-        pairs = [(i, j) for i in range(len(box)) for j in range(len(box)) if i != j]
+    """Deviation of monomial inner products from the identity pattern: all pairs
+    of a small box, else each monomial with itself plus seeded sampled pairs."""
+    cells = _cells(np.array(box_indices(n, degree)), degree)
+    size = cells.size
+    if size**2 <= 100_000:
+        i, j = np.divmod(np.arange(size**2), size)
     else:
-        rng = np.random.default_rng(seed)
-        draws = rng.integers(0, len(box), size=(20_000, 2))
-        pairs = [(int(i), int(j)) for i, j in draws if i != j]
-    for i, j in pairs:
-        worst = max(
-            worst, abs(inner_product(monomial(n, degree, box[i]), monomial(n, degree, box[j])))
-        )
-    return worst
+        draws = np.random.default_rng(seed).integers(0, size, size=(20_000, 2))
+        draws = draws[draws[:, 0] != draws[:, 1]]
+        i = np.concatenate([np.arange(size), draws[:, 0]])
+        j = np.concatenate([np.arange(size), draws[:, 1]])
+    # a monomial's array is one-hot (coefficient 1 at its cell), so the Parseval
+    # sum of a pair has one candidate term, at the first factor's cell
+    gram = np.where(cells[i] == cells[j], 1.0, 0.0)
+    return float(np.max(np.abs(gram - (i == j))))
 
 
 def unitarity_residual(n: int, degree: int, trials: int = 50, seed: int = 0) -> float:
@@ -239,25 +253,21 @@ def unitarity_residual(n: int, degree: int, trials: int = 50, seed: int = 0) -> 
     return worst
 
 
-def fejer_error_profile(f: FourierFunction, degrees) -> list:
-    return [float((f - fejer_smooth(f, d)).norm2()) for d in degrees]
-
-
 def fejer_monotonicity(
     n: int, degree: int, functions: int = 20, degrees=(1, 2, 4, 8, 16), seed: int = 0
 ):
     """Smoothing error profiles on seeded random functions.
 
-    Returns (profiles, monotone): monotone means every step is non-increasing
-    and the last error is strictly below the first. Steps can tie exactly while
-    every supported frequency is still annihilated by both kernel degrees; once
-    a damping factor activates the decrease is strict.
+    Returns (profiles, monotone): monotone means no step increases and the last
+    error is strictly below the first. Steps tie exactly while both kernel
+    degrees annihilate every supported frequency, then decrease strictly.
     """
     rng = np.random.default_rng(seed)
     profiles = []
     monotone = True
     for _ in range(functions):
-        errs = fejer_error_profile(random_function(n, degree, rng), degrees)
+        f = random_function(n, degree, rng)
+        errs = [(f - fejer_smooth(f, d)).norm2() for d in degrees]
         profiles.append(errs)
         if any(b > a for a, b in zip(errs, errs[1:])) or not errs[-1] < errs[0]:
             monotone = False
@@ -267,19 +277,15 @@ def fejer_monotonicity(
 def polydisc_rotation_trials(n: int, degree: int, trials: int = 100, seed: int = 0):
     """Rotations must preserve the support, hence the nonnegative-support class."""
     rng = np.random.default_rng(seed)
+    # folding k -> |k| sends each coefficient into the nonnegative orthant
+    fold = _cells(np.abs(np.array(box_indices(n, degree))), degree)
     preserved = True
     for _ in range(trials):
         f = random_function(n, degree, rng)
-        # fold the support into the nonnegative orthant
-        folded = FourierFunction(
-            n, degree, {tuple(abs(kj) for kj in k): c for k, c in f.coeffs.items()}
-        )
-        w = random_point(n, rng)
-        rotated = act(w, folded)
-        if not polydisc_signature(folded):
-            preserved = False
-        if not polydisc_signature(rotated) or rotated.support() != folded.support():
-            preserved = False
+        folded = FourierFunction._of(_summed(fold, f.array.reshape(-1), f.array.shape))
+        rotated = act(random_point(n, rng), folded)
+        same_support = rotated.support() == folded.support()
+        preserved &= polydisc_signature(folded) and polydisc_signature(rotated) and same_support
     return trials, preserved
 
 
@@ -291,48 +297,39 @@ def smoothing_commutes_residual(n: int, degree: int, trials: int = 25, seed: int
         f = random_function(n, degree, rng)
         w = random_point(n, rng)
         d = int(rng.integers(0, degree + 2))
-        lhs = fejer_smooth(act(w, f), d)
-        rhs = act(w, fejer_smooth(f, d))
-        keys = set(lhs.coeffs) | set(rhs.coeffs)
-        for k in sorted(keys):
-            worst = max(worst, abs(lhs.coeffs.get(k, 0j) - rhs.coeffs.get(k, 0j)))
+        gap = fejer_smooth(act(w, f), d).array - act(w, fejer_smooth(f, d)).array
+        worst = max(worst, float(np.max(np.abs(gap))))
     return worst
 
 
 def completeness_residual_model(n: int, degree: int, trials: int = 25, seed: int = 0) -> float:
-    """Summing the single-index projections over the box reconstructs f."""
+    """Summing the single-index projections over the box reconstructs f: the
+    projection onto k sends the coefficient at k's cell back to that cell."""
     rng = np.random.default_rng(seed)
+    cells = _cells(np.array(box_indices(n, degree)), degree)
     worst = 0.0
-    box = box_indices(n, degree)
     for _ in range(trials):
         f = random_function(n, degree, rng)
-        total = FourierFunction(n, degree, {})
-        for k in box:
-            total = total + project_k(f, k)
-        worst = max(worst, (f - total).norm2())
+        total = _summed(cells, f.array.reshape(-1)[cells], f.array.shape)
+        worst = max(worst, (f - FourierFunction._of(total)).norm2())
     return worst
 
 
 def separation_scan_1d(degree: int = 4):
-    """Exhaustive scan of the one-dimensional degree box.
-
-    For every subset omega of the box and every nonempty support S, the check
-    must return True exactly when S reaches outside omega. Returns
-    (pairs, mismatches).
+    """Exhaustive scan of the one-dimensional degree box: for every subset omega
+    and every g with coefficient 1 on a nonempty support S, the functional must
+    separate exactly when S reaches outside omega. Returns (pairs, mismatches).
     """
-    box = box_indices(1, degree)
-    nb = len(box)
-    supports = []
-    for mask in range(1, 2**nb):
-        supports.append((mask, [box[b] for b in range(nb) if mask & (1 << b)]))
-    pairs = 0
-    mismatches = 0
-    for g_mask, g_support in supports:
-        g = FourierFunction(1, degree, {k: 1.0 for k in g_support})
-        for o_mask in range(2**nb):
-            omega = [box[b] for b in range(nb) if o_mask & (1 << b)]
-            expected = bool(g_mask & ~o_mask)
-            if separation_check(omega, g) != expected:
-                mismatches += 1
-            pairs += 1
+    nb = 2 * degree + 1
+    subsets = np.arange(2**nb)
+    masks = ((subsets >> np.arange(nb)[:, None]) & 1) == 1  # bit b: multi-index b - degree
+    pairs = mismatches = 0
+    for start in range(1, 2**nb, 4):  # 4 supports g per block keep its arrays small
+        g_sets = subsets[start : start + 4]
+        g = masks[:, g_sets, None].astype(float)
+        vanishes, value = annihilating_functional(masks[:, None, :], g)
+        separated = vanishes & (value.real >= 0.5)
+        expected = (g_sets[:, None] & ~subsets[None, :]) != 0
+        mismatches += int(np.count_nonzero(separated != expected))
+        pairs += separated.size
     return pairs, mismatches

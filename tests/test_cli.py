@@ -188,6 +188,34 @@ def test_torus_bad_args(capsys):
     assert code == EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--group", "cyclic:3", "--schur-trials", "-1"),
+        ("decompose", "--group", "cyclic:3", "--structure-trials", "-1"),
+        ("torus", "--degree", "2", "--unitarity-trials", "-1"),
+        ("torus", "--degree", "2", "--polydisc-trials", "-1"),
+        ("torus", "--degree", "2", "--fejer-functions", "0"),
+    ],
+)
+def test_trial_counts_out_of_range_rejected(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    error = json.loads(out)["error"]
+    assert error["type"] == "SpecParseError"
+    assert argv[-2] in error["message"]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ['{"points": true, "generators": [[0]]}', '{"points": 2, "generators": [[true, false]]}'],
+)
+def test_json_booleans_rejected_in_group_spec(capsys, spec):
+    code, out = run(capsys, "decompose", "--group", spec)
+    assert code == EXIT_PARSE
+    assert json.loads(out)["error"]["type"] == "SpecParseError"
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(["survey", "cyclic:3", "--out", str(target)])

@@ -8,11 +8,14 @@ from ginvspaces.torus import (
     FourierFunction,
     TorusPoint,
     act,
+    annihilating_functional,
     box_indices,
+    completeness_residual_model,
     fejer_monotonicity,
     fejer_smooth,
     inner_product,
     monomial,
+    monomial_orthonormality_residual,
     polydisc_rotation_trials,
     polydisc_signature,
     project_k,
@@ -164,6 +167,79 @@ def test_separation_scan_small_box():
     pairs, mismatches = separation_scan_1d(degree=2)
     assert pairs == (2**5 - 1) * 2**5
     assert mismatches == 0
+
+
+def test_separation_scan_agrees_with_check_pair_by_pair():
+    for degree in (1, 2):
+        box = box_indices(1, degree)
+        nb = len(box)
+        checked = 0
+        for g_mask in range(1, 2**nb):
+            g = FourierFunction(1, degree, {box[b]: 1.0 for b in range(nb) if g_mask >> b & 1})
+            for o_mask in range(2**nb):
+                omega = [box[b] for b in range(nb) if o_mask >> b & 1]
+                assert separation_check(omega, g) == bool(g_mask & ~o_mask), (g_mask, o_mask)
+                checked += 1
+        # the scan holds the same pairs to the same rule
+        assert separation_scan_1d(degree=degree) == (checked, 0)
+
+
+def test_functional_vanishes_on_span_and_is_one_on_g():
+    # g has terms inside omega = {0, 1} and outside it
+    g = FourierFunction(1, 3, {(0,): 1.0, (1,): -2j, (2,): 2.0 - 1.0j, (-3,): 0.5})
+    omega = np.zeros(7, dtype=bool)  # cells of multi-indices -3..3
+    omega[[3, 4]] = True
+    vanishes, value = annihilating_functional(omega, g.array)
+    assert vanishes
+    assert value == pytest.approx(1.0, abs=1e-15)
+    assert separation_check([(0,), (1,)], g)
+    # a span holding the whole support leaves no outside component to pair with
+    omega[[0, 5]] = True
+    vanishes, value = annihilating_functional(omega, g.array)
+    assert vanishes and value == 0
+    assert not separation_check([(-3,), (0,), (1,), (2,)], g)
+
+
+def test_add_pads_to_the_larger_box():
+    f = FourierFunction(1, 2, {(2,): 1.0, (-1,): 0.5j})
+    g = FourierFunction(1, 4, {(4,): 2.0, (-1,): 1.0})
+    for total in (f + g, g + f):
+        assert total.degree == 4
+        assert total.array.shape == (9,)
+        assert total.coeffs == {(-1,): 1.0 + 0.5j, (2,): 1.0, (4,): 2.0}
+    assert (g - f).coeffs == {(-1,): 1.0 - 0.5j, (2,): -1.0, (4,): 2.0}
+    h = FourierFunction(2, 1, {(1, -1): 1.0}) + FourierFunction(2, 3, {(3, 0): 2.0})
+    assert h.array.shape == (7, 7)
+    assert h.support() == ((1, -1), (3, 0))
+    assert inner_product(f, g) == pytest.approx(0.5j)
+
+
+def test_coefficient_views_are_read_only():
+    f = FourierFunction(1, 2, {(1,): 1.0})
+    with pytest.raises(TypeError):
+        f.coeffs[(1,)] = 2.0
+    with pytest.raises(ValueError):
+        f.array[0] = 1.0
+    assert f.coefficient((5,)) == 0j
+
+
+def test_array_suites_match_loop_references():
+    # the per-monomial and per-projection loops the array suites replace
+    n, d = 2, 1
+    box = box_indices(n, d)
+    loop_orthonormality = max(
+        abs(inner_product(monomial(n, d, a), monomial(n, d, b)) - (a == b)) for a in box for b in box
+    )
+    assert monomial_orthonormality_residual(n, d) == loop_orthonormality == 0.0
+    rng = np.random.default_rng(7)
+    loop_completeness = 0.0
+    for _ in range(5):
+        f = random_function(n, d, rng)
+        total = FourierFunction(n, d, {})
+        for k in box:
+            total = total + project_k(f, k)
+        loop_completeness = max(loop_completeness, (f - total).norm2())
+    assert completeness_residual_model(n, d, trials=5, seed=7) == loop_completeness == 0.0
 
 
 def test_unitarity_residual_tiny():
