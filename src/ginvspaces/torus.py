@@ -4,6 +4,7 @@ A function of n <= 3 variables is one complex array over the degree box
 |k|_inf <= d, holding the coefficient of z**k at k + d. Rotations, Fejer
 smoothing and projections act cell-wise on it and inner products are Parseval
 sums (normalized measure), so every verified identity is about coefficients.
+Separation from a span of monomials evaluates the annihilating functional.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ class TorusPoint:
     def from_angles(cls, theta) -> "TorusPoint":
         return cls(np.exp(1j * np.asarray(theta, dtype=float).reshape(-1)))
 
-    @property
-    def n(self) -> int:
-        return int(self.w.size)
+    n = property(lambda self: int(self.w.size))
 
 
 class FourierFunction:
@@ -54,18 +53,14 @@ class FourierFunction:
             raise DimensionMismatch(f"torus dimension must be 1..{MAX_TORUS_DIM}")
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        keys = np.array([_as_key(k, n) for k in coeffs], dtype=np.int64).reshape(-1, n)
+        cells = _cells([_as_key(k, n) for k in coeffs], n, degree)
         values = np.array([complex(c) for c in coeffs.values()], dtype=complex)
-        if not np.isfinite(values).all():
-            raise ValueError("coefficients must be finite")
-        self.array = _summed(_cells(keys, degree), values, (2 * degree + 1,) * n)
-        self.array.setflags(write=False)
+        self.array = _frozen(_summed(cells, values, (2 * degree + 1,) * n))
 
     @classmethod
-    def _of(cls, array: np.ndarray) -> "FourierFunction":  # wraps without validation
+    def _of(cls, array: np.ndarray) -> "FourierFunction":  # wraps without the key checks
         f = object.__new__(cls)
-        array.setflags(write=False)
-        f.array = array
+        f.array = _frozen(array)
         return f
 
     n = property(lambda self: self.array.ndim)
@@ -80,9 +75,8 @@ class FourierFunction:
         return tuple(map(tuple, (np.argwhere(self.array) - self.degree).tolist()))
 
     def coefficient(self, k) -> complex:
-        key = _as_key(k, self.n)
-        inside = max(map(abs, key)) <= self.degree
-        return complex(self.array[tuple(kj + self.degree for kj in key)]) if inside else 0j
+        cell = _cells([_as_key(k, self.n)], self.n, self.degree, drop_outside=True)
+        return complex(self.array.flat[cell[0]]) if cell.size else 0j
 
     def norm2(self) -> float:
         return float(np.linalg.norm(self.array))
@@ -101,10 +95,7 @@ class FourierFunction:
         return FourierFunction._of(np.subtract(*self._aligned(other)))
 
     def __mul__(self, scalar) -> "FourierFunction":
-        out = self.array * complex(scalar)
-        if not np.isfinite(out).all():
-            raise ValueError("coefficients must be finite")
-        return FourierFunction._of(out)
+        return FourierFunction._of(self.array * complex(scalar))
 
     __rmul__ = __mul__
 
@@ -120,13 +111,23 @@ def _as_key(k, n: int) -> tuple:
     return key
 
 
-def _cells(keys: np.ndarray, degree: int) -> np.ndarray:
-    """Flat positions in the degree-box array of the multi-indices (rows of keys)."""
-    outside = np.abs(keys).max(axis=1, initial=0) > degree
-    if outside.any():
-        key = tuple(keys[outside][0].tolist())
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """The box array made read-only, once its coefficients are checked finite."""
+    if not np.isfinite(array).all():
+        raise ValueError("coefficients must be finite")
+    array.setflags(write=False)
+    return array
+
+
+def _cells(keys: list, n: int, degree: int, drop_outside: bool = False) -> np.ndarray:
+    """Flat box-array cells of keys, tuples of n ints checked against the box before
+    they become int64; a key outside raises ValueError, or drop_outside leaves it out."""
+    inside = [key for key in keys if max(map(abs, key)) <= degree]
+    if len(inside) < len(keys) and not drop_outside:
+        key = next(key for key in keys if max(map(abs, key)) > degree)
         raise ValueError(f"multi-index {key} outside the degree-{degree} box")
-    return np.ravel_multi_index(tuple((keys + degree).T), (2 * degree + 1,) * keys.shape[1])
+    offsets = np.array(inside, dtype=np.int64).reshape(-1, n) + degree
+    return np.ravel_multi_index(tuple(offsets.T), (2 * degree + 1,) * n)
 
 
 def _summed(cells: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray:
@@ -148,16 +149,26 @@ def act(w: TorusPoint, f: FourierFunction) -> FourierFunction:
     return FourierFunction._of(f.array * reduce(np.multiply.outer, [wj**powers for wj in w.w]))
 
 
+def _parseval(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Parseval sums <a_r, b_s> between the rows of two stacks of flattened box arrays."""
+    return a @ b.conj().T
+
+
 def inner_product(f: FourierFunction, g: FourierFunction) -> complex:
     """Parseval sum over the degree box (normalized measure, total mass 1)."""
-    a, b = f._aligned(g)
-    return complex(np.vdot(b, a))
+    a, b = (x.reshape(1, -1) for x in f._aligned(g))
+    return complex(_parseval(a, b)[0, 0])
+
+
+def _projected(f: FourierFunction, cells: np.ndarray) -> np.ndarray:
+    """Sum of the projections of f onto the monomials at cells; the projection
+    onto the monomial at cell c keeps f's coefficient at c and zeros the rest."""
+    return _summed(cells, f.array.reshape(-1)[cells], f.array.shape)
 
 
 def project_k(f: FourierFunction, k) -> FourierFunction:
     """Projection onto the single-monomial space of power k."""
-    cell = _cells(np.array([_as_key(k, f.n)]), f.degree)
-    return FourierFunction._of(_summed(cell, f.array.flat[cell], f.array.shape))
+    return FourierFunction._of(_projected(f, _cells([_as_key(k, f.n)], f.n, f.degree)))
 
 
 def fejer_smooth(f: FourierFunction, d: int) -> FourierFunction:
@@ -176,11 +187,9 @@ def polydisc_signature(f: FourierFunction) -> bool:
 
 def annihilating_functional(omega: np.ndarray, g: np.ndarray) -> tuple:
     """Evaluate the functional separating g from the span of the monomials at the
-    cells omega masks (omega and g broadcast, flat box cells on axis 0).
-
-    It pairs against the component of g outside the span, scaled to pair to 1
-    with g (zero when g lies in the span). Returns (vanishes, value): whether
-    it is 0 on every omega monomial, and its value on g."""
+    cells omega masks (omega and g broadcast, flat box cells on axis 0): pairing
+    against g's component outside the span, scaled to pair to 1 with g (zero when
+    g lies in the span). Returns (vanishes on every omega monomial, value on g)."""
     outside = np.where(omega, 0, g)
     norm_sq = (outside * outside.conj()).real.sum(axis=0)
     functional = outside / np.where(norm_sq > 0, norm_sq, 1.0)
@@ -192,9 +201,8 @@ def annihilating_functional(omega: np.ndarray, g: np.ndarray) -> tuple:
 def separation_check(omega, g: FourierFunction) -> bool:
     """Separate g from the span of the monomials indexed by omega: True when the
     annihilating functional vanishes on the span and takes value 1 on g."""
-    keys = np.array([_as_key(k, g.n) for k in omega], dtype=np.int64).reshape(-1, g.n)
-    mask = np.zeros(g.array.size, dtype=bool)
-    mask[_cells(keys[np.abs(keys).max(axis=1, initial=0) <= g.degree], g.degree)] = True
+    cells = _cells([_as_key(k, g.n) for k in omega], g.n, g.degree, drop_outside=True)
+    mask = np.isin(np.arange(g.array.size), cells)
     vanishes, value = annihilating_functional(mask, g.array.reshape(-1))
     return bool(vanishes and value.real >= 0.5)
 
@@ -211,12 +219,17 @@ def random_function(n: int, degree: int, rng, max_terms: int = 12) -> FourierFun
     """Seeded random function with at least one nonconstant supported index;
     a cell drawn twice keeps the last of its complex normal draws."""
     size = (2 * degree + 1) ** n
+    origin = size // 2
     m = int(rng.integers(1, min(max_terms, size) + 1))
-    first = int(rng.integers(max(size - 1, 1)))  # skips the origin's cell, size // 2
-    cells = np.concatenate([[first + (0 < size // 2 <= first)], rng.integers(0, size, size=m)])
-    values = rng.standard_normal((m + 1, 2)).view(complex)[:, 0]  # (real, imag) draw pairs
-    last = m - np.unique(cells[::-1], return_index=True)[1]
-    return FourierFunction._of(_summed(cells[last], values[last], (2 * degree + 1,) * n))
+    first = int(rng.integers(max(size - 1, 1)))  # a draw over the cells but the origin's
+    if 0 < origin <= first:
+        first += 1
+    cells = np.concatenate([[first], rng.integers(0, size, size=m)])
+    parts = rng.standard_normal((m + 1, 2))  # (real, imag) of each coefficient
+    values = parts[:, 0] + 1j * parts[:, 1]
+    last_draws = m - np.unique(cells[::-1], return_index=True)[1]
+    shape = (2 * degree + 1,) * n
+    return FourierFunction._of(_summed(cells[last_draws], values[last_draws], shape))
 
 
 def random_point(n: int, rng) -> TorusPoint:
@@ -224,21 +237,20 @@ def random_point(n: int, rng) -> TorusPoint:
 
 
 def monomial_orthonormality_residual(n: int, degree: int, seed: int = 0) -> float:
-    """Deviation of monomial inner products from the identity pattern: all pairs
-    of a small box, else each monomial with itself plus seeded sampled pairs."""
-    cells = _cells(np.array(box_indices(n, degree)), degree)
-    size = cells.size
-    if size**2 <= 100_000:
-        i, j = np.divmod(np.arange(size**2), size)
-    else:
-        draws = np.random.default_rng(seed).integers(0, size, size=(20_000, 2))
-        draws = draws[draws[:, 0] != draws[:, 1]]
-        i = np.concatenate([np.arange(size), draws[:, 0]])
-        j = np.concatenate([np.arange(size), draws[:, 1]])
-    # a monomial's array is one-hot (coefficient 1 at its cell), so the Parseval
-    # sum of a pair has one candidate term, at the first factor's cell
-    gram = np.where(cells[i] == cells[j], 1.0, 0.0)
-    return float(np.max(np.abs(gram - (i == j))))
+    """Deviation from the identity of the Parseval Gram matrix of the monomials,
+    built as the constructor builds one: all of it on a small box, else its diagonal
+    blocks of 4 in a seeded order (each monomial against itself and 3 others)."""
+    box = box_indices(n, degree)
+    size = len(box)
+    block = size if size**2 <= 100_000 else 4  # no box x box array on a large box
+    cells = _cells(box, n, degree)[np.random.default_rng(seed).permutation(size)]
+    worst = 0.0
+    for start in range(0, size, block):
+        chunk = cells[start : start + block]
+        m = chunk.size
+        rows = _summed(chunk + size * np.arange(m), np.ones(m), (m, size))
+        worst = max(worst, float(np.max(np.abs(_parseval(rows, rows) - np.eye(m)))))
+    return worst
 
 
 def unitarity_residual(n: int, degree: int, trials: int = 50, seed: int = 0) -> float:
@@ -256,29 +268,22 @@ def unitarity_residual(n: int, degree: int, trials: int = 50, seed: int = 0) -> 
 def fejer_monotonicity(
     n: int, degree: int, functions: int = 20, degrees=(1, 2, 4, 8, 16), seed: int = 0
 ):
-    """Smoothing error profiles on seeded random functions.
-
-    Returns (profiles, monotone): monotone means no step increases and the last
-    error is strictly below the first. Steps tie exactly while both kernel
-    degrees annihilate every supported frequency, then decrease strictly.
-    """
+    """Smoothing error profiles on seeded random functions. Returns (profiles,
+    monotone): monotone means no step increases and the last error is strictly
+    below the first. Steps tie exactly while both kernel degrees annihilate every
+    supported frequency, then decrease strictly."""
     rng = np.random.default_rng(seed)
-    profiles = []
-    monotone = True
-    for _ in range(functions):
-        f = random_function(n, degree, rng)
-        errs = [(f - fejer_smooth(f, d)).norm2() for d in degrees]
-        profiles.append(errs)
-        if any(b > a for a, b in zip(errs, errs[1:])) or not errs[-1] < errs[0]:
-            monotone = False
-    return profiles, monotone
+    drawn = [random_function(n, degree, rng) for _ in range(functions)]
+    profiles = [[(f - fejer_smooth(f, d)).norm2() for d in degrees] for f in drawn]
+    steady = [all(b <= a for a, b in zip(e, e[1:])) and e[-1] < e[0] for e in profiles]
+    return profiles, all(steady)
 
 
 def polydisc_rotation_trials(n: int, degree: int, trials: int = 100, seed: int = 0):
     """Rotations must preserve the support, hence the nonnegative-support class."""
     rng = np.random.default_rng(seed)
     # folding k -> |k| sends each coefficient into the nonnegative orthant
-    fold = _cells(np.abs(np.array(box_indices(n, degree))), degree)
+    fold = _cells([tuple(map(abs, k)) for k in box_indices(n, degree)], n, degree)
     preserved = True
     for _ in range(trials):
         f = random_function(n, degree, rng)
@@ -303,23 +308,20 @@ def smoothing_commutes_residual(n: int, degree: int, trials: int = 25, seed: int
 
 
 def completeness_residual_model(n: int, degree: int, trials: int = 25, seed: int = 0) -> float:
-    """Summing the single-index projections over the box reconstructs f: the
-    projection onto k sends the coefficient at k's cell back to that cell."""
+    """Summing the single-index projections over the box reconstructs f."""
     rng = np.random.default_rng(seed)
-    cells = _cells(np.array(box_indices(n, degree)), degree)
+    cells = _cells(box_indices(n, degree), n, degree)
     worst = 0.0
     for _ in range(trials):
         f = random_function(n, degree, rng)
-        total = _summed(cells, f.array.reshape(-1)[cells], f.array.shape)
-        worst = max(worst, (f - FourierFunction._of(total)).norm2())
+        worst = max(worst, (f - FourierFunction._of(_projected(f, cells))).norm2())
     return worst
 
 
 def separation_scan_1d(degree: int = 4):
     """Exhaustive scan of the one-dimensional degree box: for every subset omega
     and every g with coefficient 1 on a nonempty support S, the functional must
-    separate exactly when S reaches outside omega. Returns (pairs, mismatches).
-    """
+    separate exactly when S reaches outside omega. Returns (pairs, mismatches)."""
     nb = 2 * degree + 1
     subsets = np.arange(2**nb)
     masks = ((subsets >> np.arange(nb)[:, None]) & 1) == 1  # bit b: multi-index b - degree

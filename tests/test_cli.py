@@ -189,6 +189,17 @@ def test_torus_bad_args(capsys):
 
 
 @pytest.mark.parametrize(
+    "n, monomials", [("1", "99999999999999999999:1"), ("2", "1,-99999999999999999999:1")]
+)
+def test_torus_index_beyond_int64_rejected(capsys, n, monomials):
+    code, out = run(capsys, "torus", "--n", n, "--degree", "2", "--monomials", monomials)
+    assert code == EXIT_PARSE
+    error = json.loads(out)["error"]
+    assert error["type"] == "SpecParseError"
+    assert "outside the degree-2 box" in error["message"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("decompose", "--group", "cyclic:3", "--schur-trials", "-1"),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ginvspaces import torus
 from ginvspaces.errors import DimensionMismatch
 from ginvspaces.torus import (
     FourierFunction,
@@ -240,6 +241,52 @@ def test_array_suites_match_loop_references():
             total = total + project_k(f, k)
         loop_completeness = max(loop_completeness, (f - total).norm2())
     assert completeness_residual_model(n, d, trials=5, seed=7) == loop_completeness == 0.0
+
+
+def test_orthonormality_suite_sees_a_broken_inner_product_or_monomial(monkeypatch):
+    parseval = torus._parseval
+    cells = torus._cells
+    # a small box (whole Gram matrix) and a large one (blocks in a seeded order)
+    for n, d in ((2, 2), (3, 4)):
+        assert monomial_orthonormality_residual(n, d) == 0.0
+        monkeypatch.setattr(torus, "_parseval", lambda a, b: 0.5 * parseval(a, b))
+        assert monomial_orthonormality_residual(n, d) == 0.5
+        monkeypatch.setattr(torus, "_parseval", parseval)
+        # a cell map folding cells 2j and 2j + 1 together makes two monomials one
+        monkeypatch.setattr(torus, "_cells", lambda *args, **kw: cells(*args, **kw) // 2 * 2)
+        assert monomial_orthonormality_residual(n, d) == 1.0
+        monkeypatch.setattr(torus, "_cells", cells)
+
+
+def test_completeness_suite_sees_a_broken_projection(monkeypatch):
+    projected = torus._projected
+    assert completeness_residual_model(2, 3, trials=5, seed=4) == 0.0
+    monkeypatch.setattr(torus, "_projected", lambda f, cells: 0.5 * projected(f, cells))
+    f = FourierFunction(1, 2, {(1,): 2.0})
+    assert project_k(f, (1,)).coefficient((1,)) == 1.0
+    assert completeness_residual_model(2, 3, trials=5, seed=4) > 0.1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_arithmetic_rejects_coefficients_that_overflow():
+    z = monomial(1, 2, (1,), 1e308)
+    for overflow in (lambda: z + z, lambda: z - (-1.0) * z, lambda: 10.0 * z):
+        with pytest.raises(ValueError, match="finite"):
+            overflow()
+    assert (z - z).support() == ()
+
+
+def test_multi_index_beyond_int64_is_outside_the_box():
+    huge = 10**20
+    with pytest.raises(ValueError, match="outside the degree-2 box"):
+        FourierFunction(1, 2, {(huge,): 1.0})
+    g = FourierFunction(2, 2, {(1, 0): 1.0})
+    with pytest.raises(ValueError, match="outside"):
+        project_k(g, (0, -huge))
+    assert g.coefficient((huge, 0)) == 0j
+    # omega indices outside the box span nothing in it
+    assert separation_check([(huge, 0), (-huge, 1)], g)
+    assert not separation_check([(huge, 0), (1, 0)], g)
 
 
 def test_unitarity_residual_tiny():
