@@ -7,7 +7,6 @@ from .decomposition import (
     MinimalSpace,
     RepOperator,
     VERDICT_G_COLLECTION,
-    VERDICT_LACKS_STAR,
     VERDICT_NOT_UNIQUE,
     build_report,
     check_star,

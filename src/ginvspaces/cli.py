@@ -117,6 +117,15 @@ def _complex_matrix_payload(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, complex)]
 
 
+def _witness_payload(w) -> dict:
+    return {
+        "omega": list(w.omega),
+        "dim_subspace": w.dim_subspace,
+        "dim_direct_sum": w.dim_direct_sum,
+        "residual": w.residual,
+    }
+
+
 # -- decompose ----------------------------------------------------------------
 
 
@@ -195,12 +204,7 @@ def run_decompose(args) -> dict:
     if not report.multiplicity_free:
         w = twisted_diagonal_witness(action, spaces, seed=seed + _WITNESS_SEED_OFFSET, tol=tol)
         if w is not None:
-            witness = {
-                "omega": list(w.omega),
-                "dim_subspace": w.dim_subspace,
-                "dim_direct_sum": w.dim_direct_sum,
-                "residual": w.residual,
-            }
+            witness = _witness_payload(w)
 
     space_rows = []
     for s in spaces:
@@ -258,15 +262,7 @@ def run_decompose(args) -> dict:
             "trials": structure.trials,
             "passes": structure.passes,
             "max_residual": structure.max_residual,
-            "failures": [
-                {
-                    "omega": list(f.omega),
-                    "dim_subspace": f.dim_subspace,
-                    "dim_direct_sum": f.dim_direct_sum,
-                    "residual": f.residual,
-                }
-                for f in structure.failures
-            ],
+            "failures": [_witness_payload(f) for f in structure.failures],
             "injectivity": injectivity,
             "twisted_diagonal_witness": witness,
         },
@@ -391,7 +387,11 @@ def run_torus(args) -> dict:
     require_at_least(args.unitarity_trials, 0, "--unitarity-trials")
     require_at_least(args.fejer_functions, 1, "--fejer-functions")
     require_at_least(args.polydisc_trials, 0, "--polydisc-trials")
+    if args.fejer is not None:
+        require_at_least(args.fejer, 0, "--fejer")
     n, degree, seed = args.n, args.degree, args.seed
+    # parsed before the suites run, so bad input fails fast
+    f = None if args.monomials is None else parse_monomials(args.monomials, n, degree)
 
     fejer_profiles, fejer_monotone = torus_model.fejer_monotonicity(
         n, degree, functions=args.fejer_functions, seed=seed + 11
@@ -440,14 +440,11 @@ def run_torus(args) -> dict:
         },
     }
 
-    if args.monomials is not None:
-        f = parse_monomials(args.monomials, n, degree)
+    if f is not None:
         section = {
             "input": [{"k": list(k), "coeff": f.coefficient(k)} for k in f.support()],
         }
         if args.fejer is not None:
-            if args.fejer < 0:
-                raise SpecParseError("--fejer degree must be nonnegative")
             smoothed = torus_model.fejer_smooth(f, args.fejer)
             section["fejer_degree"] = args.fejer
             section["smoothed"] = [
@@ -513,11 +510,14 @@ def _emit(text: str, out_path) -> None:
 
 
 def _error_payload(exc: Exception) -> str:
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
-    return render_json(payload) + "\n"
+    """The error object: type and message, plus what the exception carries."""
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, PropertyViolation):
+        error["prop"] = exc.prop
+        error["residual"] = exc.residual
+    elif isinstance(exc, StructureFailure):
+        error["witness"] = None if exc.witness is None else _witness_payload(exc.witness)
+    return render_json({"schema": SCHEMA_VERSION, "error": error}) + "\n"
 
 
 def main(argv=None) -> int:

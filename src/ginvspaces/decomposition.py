@@ -1,11 +1,17 @@
 """Minimal invariant subspaces of a finite transitive permutation action.
 
-The constructive route: orbital indicator matrices span the commutant of the
-permutation operators, eigenspace clusters of a generic Hermitian commutant
-element are invariant, and each cluster is certified minimal by compressing
-the commutant onto it. The verdict machinery records how close the resulting
-family comes to a fully verified collection (orthogonal, complete, and meeting
-every stabilizer-fixed space in exactly one dimension).
+Everything here is read off the orbital (commutant) algebra, given by the
+action's orbital-label matrix. Orbital indicator matrices span the commutant
+of the permutation operators; eigenspace clusters of a generic Hermitian
+commutant element are invariant, and each cluster is certified minimal by
+compressing the commutant onto its basis. The star table dim(H_i ∩ H(x)) is a
+trace: P_i commutes with the projector onto the stabilizer-fixed space H(x),
+so the entry is ||P_i B_x||_F^2 for an orthonormal basis B_x of H(x), and by
+Frobenius reciprocity it equals the multiplicity of H_i's isotype.
+Multiplicity-freeness is commutativity of the orbital algebra, tested on the
+row-0 products of its basis. For a transitive action the two agree, so a
+verified collection (orthogonal, complete, meeting every H(x) in exactly one
+dimension) is exactly the multiplicity-free case.
 """
 
 from __future__ import annotations
@@ -21,14 +27,12 @@ from .linalg import (
     EIG_CLUSTER_TOL,
     Subspace,
     hermitian_eig,
-    intersect,
     max_abs,
     projector,
 )
-from .perm_action import GroupAction, orbitals, stabilizer, subgroup_point_orbits
+from .perm_action import GroupAction, stabilizer, subgroup_point_orbits
 
 VERDICT_G_COLLECTION = "GCollection"
-VERDICT_LACKS_STAR = "LacksStarOnly"
 VERDICT_NOT_UNIQUE = "NotUniqueDecomposition"
 
 # Entry differences below this count as ties when fingerprinting projectors
@@ -97,14 +101,8 @@ def rep_operators(action: GroupAction) -> list:
 
 def commutant_basis(action: GroupAction) -> list:
     """One 0/1 indicator matrix per orbital; together they span the commutant."""
-    n = action.n_points
-    mats = []
-    for orbital in orbitals(action):
-        a = np.zeros((n, n), dtype=float)
-        idx = np.array(orbital)
-        a[idx[:, 0], idx[:, 1]] = 1.0
-        mats.append(a)
-    return mats
+    labels = action.orbital_labels
+    return [(labels == k).astype(float) for k in range(int(labels.max()) + 1)]
 
 
 def random_commutant_element(basis, seed: int) -> np.ndarray:
@@ -130,14 +128,15 @@ def _commutator_residual(p: np.ndarray, action: GroupAction) -> float:
     return worst
 
 
-def _intertwiner_dimension(p: np.ndarray, basis, tol: float) -> int:
-    """Dimension of the commutant compressed onto the range of p.
+def _intertwiner_dimension(v: np.ndarray, basis: np.ndarray, tol: float) -> int:
+    """Dimension of the commutant compressed onto the span of the columns of v.
 
     Group-averaging a full operator basis factors through the conditional
     expectation onto the commutant, so compressing the orbital basis spans
-    the same operator space.
+    the same operator space. With v orthonormal, X -> v X v^H is an isometry,
+    so the d x d compressions v^H A v have the singular values of P A P.
     """
-    rows = np.stack([(p @ a @ p).ravel() for a in basis])
+    rows = (v.conj().T @ basis @ v).reshape(len(basis), -1)
     s = np.linalg.svd(rows, compute_uv=False)
     if s.size == 0:
         return 0
@@ -146,18 +145,24 @@ def _intertwiner_dimension(p: np.ndarray, basis, tol: float) -> int:
 
 def is_minimal(space: MinimalSpace, action: GroupAction, tol: float = DEFAULT_TOL) -> bool:
     """True iff the self-intertwiner space of the (invariant) space is scalar."""
-    basis = commutant_basis(action)
-    return _intertwiner_dimension(space.projector, basis, tol) == 1
+    basis = np.stack(commutant_basis(action))
+    return _intertwiner_dimension(space.space.basis, basis, tol) == 1
 
 
 def multiplicity_free(action: GroupAction) -> bool:
-    """Commutant commutativity: the classical multiplicity-one criterion."""
-    mats = commutant_basis(action)
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            if max_abs(mats[i] @ mats[j] - mats[j] @ mats[i]) > 1e-12:
-                return False
-    return True
+    """Commutant commutativity: the classical multiplicity-one criterion.
+
+    A commutant element is fixed by its row 0, so A_i A_j = A_j A_i iff their
+    row-0 products agree. Row 0 of A_i A_j counts, for each y, the points z
+    with (0, z) in orbital i and (z, y) in orbital j: one histogram of label
+    triples over all pairs (z, y).
+    """
+    labels = action.orbital_labels
+    n = action.n_points
+    r = int(labels.max()) + 1
+    triples = (labels[0][:, None] * r + labels) * n + np.arange(n)
+    products = np.bincount(triples.ravel(), minlength=r * r * n).reshape(r, r, n)
+    return bool(np.array_equal(products, products.transpose(1, 0, 2)))
 
 
 def minimal_decomposition(
@@ -186,6 +191,7 @@ def minimal_decomposition(
 def _decompose_once(action: GroupAction, basis, seed: int, tol: float) -> list:
     n = action.n_points
     m = random_commutant_element(basis, seed)
+    stacked = np.stack(basis)
     w, v = hermitian_eig(m, tol)
     gap = EIG_CLUSTER_TOL * max(1.0, max_abs(m))
 
@@ -197,7 +203,7 @@ def _decompose_once(action: GroupAction, basis, seed: int, tol: float) -> list:
             p = projector(sub)
             if _commutator_residual(p, action) > tol:
                 raise MinimalityFailure("eigenspace cluster is not invariant")
-            if _intertwiner_dimension(p, basis, tol) != 1:
+            if _intertwiner_dimension(sub.basis, stacked, tol) != 1:
                 raise MinimalityFailure("eigenspace cluster is not minimal")
             candidates.append((sub, p, float(w[lo])))
             lo = i
@@ -260,21 +266,31 @@ def h_space(action: GroupAction, x: int, tol: float = DEFAULT_TOL) -> Subspace:
 def check_star(spaces, action: GroupAction, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Table of dim(H_i intersect H(x)) over all spaces i and points x.
 
-    Every entry is at least 1 for a valid decomposition; a 0 entry is an
-    internal error, and the one-dimensionality condition holds iff all
-    entries equal 1.
+    P_i commutes with the projector B_x B_x^H onto H(x), so P_i B_x B_x^H
+    projects onto the intersection and the entry is its trace
+    ||P_i B_x||_F^2 = ||V_i^H B_x||_F^2, with V_i the basis of space i.
+    Every entry is a positive integer for a valid decomposition (the
+    multiplicity of H_i's isotype); a trace of 0 or one off an integer by
+    more than tol is an internal error. The one-dimensionality condition
+    holds iff all entries equal 1.
     """
     n = action.n_points
+    bases = np.concatenate([s.space.basis for s in spaces], axis=1)
+    owner = np.repeat(np.arange(len(spaces)), [s.dim for s in spaces])
     table = np.zeros((len(spaces), n), dtype=int)
     for x in range(n):
-        hx = h_space(action, x, tol)
-        for i, s in enumerate(spaces):
-            d = intersect(s.space, hx).rank
-            if d == 0:
-                raise InternalInconsistency(
-                    f"space {s.id} meets the stabilizer-fixed space of point {x} trivially"
-                )
-            table[i, x] = d
+        bx = h_space(action, x, tol).basis
+        weights = np.sum(np.abs(bases.conj().T @ bx) ** 2, axis=1)
+        traces = np.bincount(owner, weights=weights, minlength=len(spaces))
+        dims = np.rint(traces)
+        bad = np.nonzero((dims == 0) | (np.abs(traces - dims) > tol))[0]
+        if bad.size:
+            i = int(bad[0])
+            raise InternalInconsistency(
+                f"space {spaces[i].id} meets the stabilizer-fixed space of point {x} "
+                f"with trace {float(traces[i])!r}, not a positive integer"
+            )
+        table[:, x] = dims
     return table
 
 
@@ -303,11 +319,14 @@ def build_report(action: GroupAction, seed: int = 42, tol: float = DEFAULT_TOL) 
     spaces = minimal_decomposition(action, seed=seed, tol=tol)
     mf = multiplicity_free(action)
     star = check_star(spaces, action, tol)
-    star_ok = bool((star == 1).all())
-    if mf:
-        verdict = VERDICT_G_COLLECTION if star_ok else VERDICT_LACKS_STAR
-    else:
-        verdict = VERDICT_NOT_UNIQUE
+    # each star entry is the multiplicity of its space's isotype, so for a
+    # transitive action the table is all ones iff the action is multiplicity-free
+    if bool((star == 1).all()) != mf:
+        raise InternalInconsistency(
+            f"multiplicity_free is {mf} but the star table has entries "
+            f"{np.unique(star).tolist()}"
+        )
+    verdict = VERDICT_G_COLLECTION if mf else VERDICT_NOT_UNIQUE
     return GCollectionReport(
         spaces=tuple(spaces),
         completeness_residual=completeness_residual(spaces, action.n_points),

@@ -2,11 +2,14 @@
 
 Everything downstream works with a fully enumerated group acting on the
 point set {0..n-1}: element lists in a deterministic order, stabilizers,
-and the orbit structure on points and on pairs (orbitals).
+and the orbit structure on points and on pairs (orbitals). The orbitals are
+held as one label matrix per action, the single input of the commutant
+algebra built on it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -87,7 +90,8 @@ class GroupAction:
 
     Immutable after construction. `elements[0]` is the identity; `images`
     stacks all element image arrays as a (order, n_points) matrix, and
-    `inverse_images` the image arrays of the inverses.
+    `inverse_images` the image arrays of the inverses. `orbital_labels` is
+    computed on first use and cached.
     """
 
     def __init__(self, n_points: int, generators, elements) -> None:
@@ -112,6 +116,31 @@ class GroupAction:
             return self._index[perm.key()]
         except KeyError:
             raise InternalInconsistency("permutation is not an element of the enumerated group")
+
+    @functools.cached_property
+    def orbital_labels(self) -> np.ndarray:
+        """(n_points, n_points) matrix whose entry (x, y) indexes the orbital of (x, y).
+
+        Orbitals are numbered in order of their row-major smallest pair, so the
+        diagonal is orbital 0. Every orbital meets row 0 in the pairs (0, z)
+        with z in one orbit of the stabilizer K of point 0, and (x, y) lies in
+        the orbital of (0, t^-1 y) for any t with t.0 = x: one gather through
+        the inverse images labels every pair.
+        """
+        if not is_transitive(self):
+            raise NotTransitive("orbitals are defined for transitive actions")
+        k_orbit = np.empty(self.n_points, dtype=np.int64)
+        for j, orb in enumerate(subgroup_point_orbits(self, stabilizer(self, 0).members)):
+            k_orbit[orb] = j
+        # the first element carrying 0 to x, for every x (unique sorts by x)
+        movers = np.unique(self.images[:, 0], return_index=True)[1]
+        raw = k_orbit[self.inverse_images[movers]]
+        first_seen = np.unique(raw.ravel(), return_index=True)[1]
+        renumber = np.empty(first_seen.size, dtype=np.int64)
+        renumber[np.argsort(first_seen)] = np.arange(first_seen.size)
+        labels = renumber[raw]
+        labels.setflags(write=False)
+        return labels
 
     def inverse_index(self, i: int) -> int:
         return self._index[tuple(int(v) for v in self.inverse_images[i])]
@@ -194,24 +223,17 @@ def subgroup_point_orbits(action: GroupAction, members) -> list:
 def orbitals(action: GroupAction) -> list:
     """Partition of X x X into group orbits on pairs, alpha.(x,y) = (alpha.x, alpha.y).
 
-    Orbits are listed sorted by their row-major smallest member; the diagonal
-    is always a single orbital when the action is transitive, and comes first.
+    Orbits are listed sorted by their row-major smallest member, each orbit's
+    pairs in row-major order; the diagonal is always a single orbital when the
+    action is transitive, and comes first. Read off `GroupAction.orbital_labels`.
     """
-    if not is_transitive(action):
-        raise NotTransitive("orbitals are defined for transitive actions")
+    labels = action.orbital_labels.ravel()
     n = action.n_points
-    seen = np.zeros((n, n), dtype=bool)
-    result = []
-    for x in range(n):
-        for y in range(n):
-            if seen[x, y]:
-                continue
-            pairs = np.unique(
-                np.stack([action.images[:, x], action.images[:, y]], axis=1), axis=0
-            )
-            seen[pairs[:, 0], pairs[:, 1]] = True
-            result.append([(int(a), int(b)) for a, b in pairs])
-    return result
+    flat = np.argsort(labels, kind="stable")
+    bounds = np.cumsum(np.bincount(labels))[:-1]
+    return [
+        [(int(i // n), int(i % n)) for i in members] for members in np.split(flat, bounds)
+    ]
 
 
 # -- named families and spec parsing -----------------------------------------

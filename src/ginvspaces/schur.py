@@ -2,8 +2,11 @@
 
 Averaging any operator over the action produces a map that commutes with it;
 between minimal spaces such a map must vanish, and on a single minimal space
-it must be a scalar multiple of the projector. The trial driver verifies this
-dichotomy on batches of seeded random operators.
+it must be a scalar multiple of the projector. The group average
+(1/|G|) sum_g B[g.x, g.y] visits each pair of the orbital of (x, y) equally
+often, so it is computed as the mean of B over that orbital, read off the
+action's orbital-label matrix without touching the group elements. The trial
+driver verifies the dichotomy on batches of seeded random operators.
 """
 
 from __future__ import annotations
@@ -39,26 +42,27 @@ class SchurSummary:
 
 
 def group_average(a, src: MinimalSpace, dst: MinimalSpace, action: GroupAction) -> np.ndarray:
-    """(1/|G|) sum_alpha L_alpha^-1 P_dst A P_src L_alpha.
+    """(1/|G|) sum_alpha L_alpha^-1 P_dst A P_src L_alpha, as orbital means.
 
-    Commutes with every permutation operator and maps src into dst.
+    Accepts one (n, n) operator or a stack (..., n, n) and averages each.
+    The result commutes with every permutation operator and maps src into dst.
     """
     a = np.asarray(a, dtype=complex)
     n = action.n_points
-    if a.shape != (n, n):
+    if a.ndim < 2 or a.shape[-2:] != (n, n):
         raise ValueError("operator shape does not match the point count")
-    b = dst.projector @ a @ src.projector
-    inv = action.inverse_images
-    return b[inv[:, :, None], inv[:, None, :]].mean(axis=0)
+    b = (dst.projector @ a @ src.projector).reshape(-1, n * n)
+    labels = action.orbital_labels.ravel()
+    sizes = np.bincount(labels)
+    # one bincount over (operator, orbital) bins covers the whole stack
+    bins = (labels + sizes.size * np.arange(len(b))[:, None]).ravel()
 
+    def orbital_sums(part):
+        return np.bincount(bins, weights=part.ravel(), minlength=sizes.size * len(b))
 
-def _group_average_batch(a_stack, src, dst, action) -> np.ndarray:
-    """`group_average` over a stack of operators, accumulating per element."""
-    b = dst.projector @ a_stack @ src.projector
-    out = np.zeros_like(b)
-    for inv in action.inverse_images:
-        out += b[:, inv[:, None], inv[None, :]]
-    return out / action.order
+    sums = orbital_sums(b.real) + 1j * orbital_sums(b.imag)
+    means = sums.reshape(len(b), sizes.size) / sizes
+    return means[:, labels].reshape(a.shape)
 
 
 def classify_intertwiner(
@@ -93,7 +97,7 @@ def dichotomy_trials(
     for src in spaces:
         for dst in spaces:
             draws = rng.standard_normal((trials, n, n)) + 1j * rng.standard_normal((trials, n, n))
-            averaged = _group_average_batch(draws, src, dst, action)
+            averaged = group_average(draws, src, dst, action)
             for t in averaged:
                 cls = classify_intertwiner(t, src, dst, tol)
                 if cls.kind == "zero":

@@ -2,14 +2,18 @@ import json
 
 import pytest
 
+from ginvspaces import torus
 from ginvspaces.cli import (
     EXIT_CAP,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_PARSE,
     main,
     parse_family_range,
     render_json,
 )
+from ginvspaces.errors import PropertyViolation, StructureFailure
+from ginvspaces.invariant_subspaces import StructureWitness
 
 
 def run(capsys, *argv):
@@ -225,6 +229,79 @@ def test_json_booleans_rejected_in_group_spec(capsys, spec):
     code, out = run(capsys, "decompose", "--group", spec)
     assert code == EXIT_PARSE
     assert json.loads(out)["error"]["type"] == "SpecParseError"
+
+
+TORUS_SUITES = (
+    "monomial_orthonormality_residual",
+    "unitarity_residual",
+    "completeness_residual_model",
+    "smoothing_commutes_residual",
+    "fejer_monotonicity",
+    "polydisc_rotation_trials",
+    "separation_scan_1d",
+)
+
+
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (("--fejer", "-1"), "--fejer"),
+        (("--monomials", "2:1", "--fejer", "-1"), "--fejer"),
+        (("--monomials", "zz"), "zz"),
+        (("--monomials", "2:1;3:x"), "3:x"),
+        (("--monomials", "9:1"), "outside the degree-2 box"),
+    ],
+)
+def test_torus_input_rejected_before_any_suite_runs(monkeypatch, capsys, extra, flag):
+    def suite_ran(*args, **kwargs):
+        raise AssertionError("a suite ran before the input was validated")
+
+    for name in TORUS_SUITES:
+        monkeypatch.setattr(torus, name, suite_ran)
+    code, out = run(capsys, "torus", "--degree", "2", *extra)
+    assert code == EXIT_PARSE
+    error = json.loads(out)["error"]
+    assert error["type"] == "SpecParseError"
+    assert flag in error["message"]
+
+
+def test_property_violation_payload_carries_prop_and_residual(monkeypatch, capsys):
+    def violated(*args, **kwargs):
+        raise PropertyViolation("reproduction", 0.125)
+
+    monkeypatch.setattr("ginvspaces.cli.verify_kernel_properties", violated)
+    code, out = run(capsys, "decompose", "--group", "cyclic:3")
+    assert code == EXIT_INTERNAL
+    assert json.loads(out)["error"] == {
+        "type": "PropertyViolation",
+        "message": "kernel property reproduction violated: residual 1.250e-01",
+        "prop": "reproduction",
+        "residual": 0.125,
+    }
+
+
+@pytest.mark.parametrize(
+    "witness, payload",
+    [
+        (
+            StructureWitness(omega=(0, 2), dim_subspace=1, dim_direct_sum=3, residual=0.5),
+            {"omega": [0, 2], "dim_subspace": 1, "dim_direct_sum": 3, "residual": 0.5},
+        ),
+        (None, None),
+    ],
+)
+def test_structure_failure_payload_carries_witness(monkeypatch, capsys, witness, payload):
+    def failed(*args, **kwargs):
+        raise StructureFailure("subspace does not match its direct sum", witness=witness)
+
+    monkeypatch.setattr("ginvspaces.cli.verify_structure", failed)
+    code, out = run(capsys, "decompose", "--group", "cyclic:3", "--schur-trials", "1")
+    assert code == EXIT_INTERNAL
+    assert json.loads(out)["error"] == {
+        "type": "StructureFailure",
+        "message": "subspace does not match its direct sum",
+        "witness": payload,
+    }
 
 
 def test_out_file(tmp_path, capsys):

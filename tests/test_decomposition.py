@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from ginvspaces import decomposition
 from ginvspaces.decomposition import (
     MinimalSpace,
     VERDICT_G_COLLECTION,
@@ -18,13 +21,23 @@ from ginvspaces.decomposition import (
     random_commutant_element,
     rep_operators,
 )
-from ginvspaces.errors import NotTransitive
-from ginvspaces.linalg import Subspace, max_abs, mu_inner, orthonormalize, projector, subspace_equal
+from ginvspaces.errors import InternalInconsistency, NotTransitive
+from ginvspaces.linalg import (
+    Subspace,
+    intersect,
+    max_abs,
+    mu_inner,
+    orthonormalize,
+    projector,
+    subspace_equal,
+)
 from ginvspaces.perm_action import (
     Permutation,
     cyclic_generators,
     dihedral_generators,
     enumerate_group,
+    group_from_spec,
+    is_transitive,
     regular_action,
     symmetric_generators,
 )
@@ -362,3 +375,91 @@ def test_report_verdict_consistent_with_fields():
             assert not report.multiplicity_free
         else:
             assert report.multiplicity_free and not report.star_all_ones
+
+
+# -- commutant-first algebra against brute-force oracles ----------------------
+
+BATTERY = (
+    [f"regular:cyclic:{n}" for n in range(2, 13)]
+    + ["symmetric:3", "symmetric:4"]
+    + [f"dihedral:{n}" for n in range(3, 9)]
+    + ["regular:symmetric:3"]
+)
+
+
+def star_table_by_intersection(spaces, action):
+    """Oracle: dim(H_i intersect H(x)) from an explicit eigensolve per entry."""
+    return np.array(
+        [[intersect(s.space, h_space(action, x)).rank for x in range(action.n_points)]
+         for s in spaces]
+    )
+
+
+@pytest.mark.parametrize("spec", BATTERY + ["regular:symmetric:4", "regular:dihedral:7"])
+def test_check_star_matches_intersection_oracle(spec):
+    action = group_from_spec(spec)
+    spaces = minimal_decomposition(action, seed=42)
+    table = check_star(spaces, action)
+    assert table.dtype.kind == "i"
+    assert np.array_equal(table, star_table_by_intersection(spaces, action))
+
+
+def multiplicity_free_pairwise(action):
+    """Oracle: every pair of orbital matrices commutes."""
+    mats = commutant_basis(action)
+    return all(
+        max_abs(a @ b - b @ a) <= 1e-12 for i, a in enumerate(mats) for b in mats[i + 1:]
+    )
+
+
+_S3_ON_ITSELF = [g.images.tolist() for g in s3_regular().generators]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.permutations(list(range(6))), st.permutations(list(range(6))))
+@example(*_S3_ON_ITSELF)
+def test_multiplicity_free_matches_pairwise_commutators(p_images, q_images):
+    action = make([Permutation(p_images), Permutation(q_images)])
+    assume(is_transitive(action))
+    assert multiplicity_free(action) == multiplicity_free_pairwise(action)
+
+
+@pytest.mark.parametrize(
+    "spec", ["regular:symmetric:4", "regular:dihedral:4", "regular:dihedral:5", "cyclic:8"]
+)
+def test_multiplicity_free_matches_pairwise_commutators_regular(spec):
+    action = group_from_spec(spec)
+    assert multiplicity_free(action) == multiplicity_free_pairwise(action)
+
+
+def corrupted(space, vector):
+    """`space` with its subspace replaced by the span of one vector."""
+    sub = orthonormalize(np.asarray(vector, dtype=complex)[:, None])
+    return MinimalSpace(id=space.id, space=sub, projector=projector(sub), eigenvalue=0.0)
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [
+        np.random.default_rng(4).standard_normal(5),  # trace strictly between 0 and 1
+        np.array([0.0, 1.0, 0.0, 0.0, -1.0]),  # odd under the reflection fixing 0: trace 0
+    ],
+    ids=["fractional", "zero"],
+)
+def test_corrupted_space_raises_in_check_star_and_report(monkeypatch, vector):
+    d5 = make(dihedral_generators(5))
+    spaces = minimal_decomposition(d5, seed=42)
+    spaces[1] = corrupted(spaces[1], vector)
+    with pytest.raises(InternalInconsistency, match="space 1 .* point 0 with trace"):
+        check_star(spaces, d5)
+    monkeypatch.setattr(decomposition, "minimal_decomposition", lambda *a, **k: spaces)
+    with pytest.raises(InternalInconsistency, match="point 0"):
+        build_report(d5, seed=42)
+
+
+@pytest.mark.parametrize("action", [s3_natural(), s3_regular()], ids=["s3", "s3-regular"])
+def test_verdict_guard_rejects_star_table_disagreeing_with_multiplicity(monkeypatch, action):
+    flipped = not multiplicity_free(action)
+    monkeypatch.setattr(decomposition, "multiplicity_free", lambda _action: flipped)
+    with pytest.raises(InternalInconsistency, match="star table"):
+        build_report(action, seed=42)

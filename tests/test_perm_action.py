@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -275,3 +276,57 @@ def test_non_faithful_presentations_collapse_to_the_image():
         [Permutation([1, 2, 0]), Permutation([1, 2, 0]), Permutation.identity(3)]
     )
     assert action.order == 3
+
+
+def orbitals_pairwise_reference(action):
+    """Reference: the row-major pair scan, one orbit computation per new pair."""
+    n = action.n_points
+    seen = np.zeros((n, n), dtype=bool)
+    result = []
+    for x in range(n):
+        for y in range(n):
+            if seen[x, y]:
+                continue
+            pairs = np.unique(
+                np.stack([action.images[:, x], action.images[:, y]], axis=1), axis=0
+            )
+            seen[pairs[:, 0], pairs[:, 1]] = True
+            result.append([(int(a), int(b)) for a, b in pairs])
+    return result
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cyclic:1", "cyclic:9", "dihedral:6", "dihedral:7", "symmetric:4",
+     "regular:cyclic:6", "regular:dihedral:5", "regular:symmetric:3"],
+)
+def test_orbitals_match_pairwise_reference_in_order(spec):
+    action = group_from_spec(spec)
+    assert orbitals(action) == orbitals_pairwise_reference(action)
+    labels = action.orbital_labels
+    for k, orbital in enumerate(orbitals(action)):
+        assert all(labels[x, y] == k for x, y in orbital)
+
+
+def test_orbital_labels_computed_once_per_action(monkeypatch):
+    from ginvspaces import decomposition, perm_action, schur
+
+    calls = []
+    original = perm_action.subgroup_point_orbits
+
+    def counted(action, members):
+        calls.append(action)
+        return original(action, members)
+
+    monkeypatch.setattr(perm_action, "subgroup_point_orbits", counted)
+    action = group_from_spec("dihedral:5")
+    spaces = decomposition.minimal_decomposition(action, seed=1)
+    for _ in range(2):
+        orbitals(action)
+        decomposition.commutant_basis(action)
+        decomposition.multiplicity_free(action)
+        schur.group_average(np.eye(5), spaces[0], spaces[0], action)
+    assert calls == [action]
+    assert action.orbital_labels is action.orbital_labels
+    with pytest.raises(ValueError):
+        action.orbital_labels[0, 0] = 1

@@ -3,9 +3,13 @@ import pytest
 
 from ginvspaces.decomposition import minimal_decomposition, rep_operators
 from ginvspaces.linalg import max_abs
-from ginvspaces.perm_action import cyclic_generators, enumerate_group, symmetric_generators
+from ginvspaces.perm_action import (
+    cyclic_generators,
+    enumerate_group,
+    regular_action,
+    symmetric_generators,
+)
 from ginvspaces.schur import (
-    _group_average_batch,
     classify_intertwiner,
     dichotomy_trials,
     group_average,
@@ -94,10 +98,28 @@ def test_batch_average_matches_single():
     action, spaces = decompose(cyclic_generators(5))
     rng = np.random.default_rng(3)
     stack = rng.standard_normal((4, 5, 5)) + 1j * rng.standard_normal((4, 5, 5))
-    batch = _group_average_batch(stack, spaces[1], spaces[2], action)
+    batch = group_average(stack, spaces[1], spaces[2], action)
     for i in range(4):
         single = group_average(stack[i], spaces[1], spaces[2], action)
         assert max_abs(batch[i] - single) < 1e-12
+
+
+def test_stack_average_matches_dense_oracle_without_multiplicity_freeness():
+    # S3 acting on itself: isomorphic minimal spaces, so cross averages need not vanish
+    action = regular_action(enumerate_group(symmetric_generators(3)))
+    spaces = minimal_decomposition(action, seed=42)
+    rng = np.random.default_rng(19)
+    stack = rng.standard_normal((3, 2, 6, 6)) + 1j * rng.standard_normal((3, 2, 6, 6))
+    nonzero = 0
+    for src in spaces:
+        for dst in spaces:
+            averaged = group_average(stack, src, dst, action)
+            assert averaged.shape == stack.shape
+            for index in np.ndindex(stack.shape[:2]):
+                oracle = average_dense_oracle(stack[index], src, dst, action)
+                assert max_abs(averaged[index] - oracle) < 1e-12
+                nonzero += max_abs(oracle) > 1e-6
+    assert nonzero > len(spaces) * 6  # the isomorphic pair adds nonzero cross averages
 
 
 def test_dichotomy_trials_counts():
