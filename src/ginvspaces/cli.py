@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -134,6 +135,7 @@ def validate_common(args) -> None:
         raise SpecParseError("--tol must be a finite value in (0, 1)")
     if args.max_group_order < 1:
         raise SpecParseError("--max-group-order must be positive")
+    require_at_least(args.seed, 0, "--seed")
 
 
 def require_at_least(value: int, least: int, flag: str) -> None:
@@ -459,7 +461,10 @@ def run_torus(args) -> dict:
 # -- entry point ---------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged, and every
+    build leaves a few hundred argparse objects in reference cycles."""
     parser = argparse.ArgumentParser(
         prog="ginvspaces",
         description="Verify minimal decompositions of finite transitive group actions "

@@ -17,19 +17,13 @@ dimension) is exactly the multiplicity-free case.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InternalInconsistency, MinimalityFailure
-from .linalg import (
-    DEFAULT_TOL,
-    EIG_CLUSTER_TOL,
-    Subspace,
-    hermitian_eig,
-    max_abs,
-    projector,
-)
+from .linalg import DEFAULT_TOL, EIG_CLUSTER_TOL, Subspace, bin_sums, block_max_abs
+from .linalg import hermitian_eig, max_abs, projector, stacked_bases
 from .perm_action import GroupAction, stabilizer, subgroup_point_orbits
 
 VERDICT_G_COLLECTION = "GCollection"
@@ -128,15 +122,19 @@ def _commutator_residual(p: np.ndarray, action: GroupAction) -> float:
     return worst
 
 
-def _intertwiner_dimension(v: np.ndarray, basis: np.ndarray, tol: float) -> int:
+def _intertwiner_dimension(v: np.ndarray, labels: np.ndarray, tol: float) -> int:
     """Dimension of the commutant compressed onto the span of the columns of v.
 
     Group-averaging a full operator basis factors through the conditional
     expectation onto the commutant, so compressing the orbital basis spans
     the same operator space. With v orthonormal, X -> v X v^H is an isometry,
-    so the d x d compressions v^H A v have the singular values of P A P.
+    so the d x d compressions v^H A_k v have the singular values of P A_k P;
+    each sums conj(v[x]) v[y]^T over the pairs (x, y) of orbital k.
     """
-    rows = (v.conj().T @ basis @ v).reshape(len(basis), -1)
+    r, d = int(labels.max()) + 1, v.shape[1]
+    outer = v.conj()[:, None, :, None] * v[None, :, None, :]
+    bins = (labels.reshape(-1, 1) * d * d + np.arange(d * d)).ravel()
+    rows = bin_sums(bins, outer, r * d * d).reshape(r, d * d)
     s = np.linalg.svd(rows, compute_uv=False)
     if s.size == 0:
         return 0
@@ -145,8 +143,7 @@ def _intertwiner_dimension(v: np.ndarray, basis: np.ndarray, tol: float) -> int:
 
 def is_minimal(space: MinimalSpace, action: GroupAction, tol: float = DEFAULT_TOL) -> bool:
     """True iff the self-intertwiner space of the (invariant) space is scalar."""
-    basis = np.stack(commutant_basis(action))
-    return _intertwiner_dimension(space.space.basis, basis, tol) == 1
+    return _intertwiner_dimension(space.space.basis, action.orbital_labels, tol) == 1
 
 
 def multiplicity_free(action: GroupAction) -> bool:
@@ -178,20 +175,22 @@ def minimal_decomposition(
     """
     if retries < 1:
         raise ValueError("retries must be at least 1")
-    basis = commutant_basis(action)
     last = None
     for attempt in range(retries):
         try:
-            return _decompose_once(action, basis, seed + attempt, tol)
+            return _decompose_once(action, seed + attempt, tol)
         except MinimalityFailure as exc:
             last = exc
     raise last
 
 
-def _decompose_once(action: GroupAction, basis, seed: int, tol: float) -> list:
+def _decompose_once(action: GroupAction, seed: int, tol: float) -> list:
     n = action.n_points
-    m = random_commutant_element(basis, seed)
-    stacked = np.stack(basis)
+    labels = action.orbital_labels
+    # random_commutant_element of the orbital basis, bit for bit: orbital k adds
+    # a_k at its pairs and at their transposes, and i b_k antisymmetrized
+    a, b = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(int(labels.max()) + 1, 2)).T
+    m = a[labels] + a[labels.T] + 1j * (b[labels] - b[labels.T])
     w, v = hermitian_eig(m, tol)
     gap = EIG_CLUSTER_TOL * max(1.0, max_abs(m))
 
@@ -203,24 +202,18 @@ def _decompose_once(action: GroupAction, basis, seed: int, tol: float) -> list:
             p = projector(sub)
             if _commutator_residual(p, action) > tol:
                 raise MinimalityFailure("eigenspace cluster is not invariant")
-            if _intertwiner_dimension(sub.basis, stacked, tol) != 1:
+            if _intertwiner_dimension(sub.basis, labels, tol) != 1:
                 raise MinimalityFailure("eigenspace cluster is not minimal")
-            candidates.append((sub, p, float(w[lo])))
+            candidates.append(MinimalSpace(len(candidates), sub, p, float(w[lo])))
             lo = i
 
-    total = sum(p for _, p, _ in candidates)
-    if max_abs(total - np.eye(n)) > tol:
+    if completeness_residual(candidates, n) > tol:
         raise MinimalityFailure("projectors do not sum to the identity")
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            if max_abs(candidates[i][1] @ candidates[j][1]) > tol:
-                raise MinimalityFailure("eigenspace clusters are not orthogonal")
+    if orthogonality_residual(candidates) > tol:
+        raise MinimalityFailure("eigenspace clusters are not orthogonal")
 
     ordered = sorted(candidates, key=functools.cmp_to_key(_compare_candidates))
-    return [
-        MinimalSpace(id=i, space=sub, projector=p, eigenvalue=ev)
-        for i, (sub, p, ev) in enumerate(ordered)
-    ]
+    return [replace(s, id=i) for i, s in enumerate(ordered)]
 
 
 def first_support_index(p: np.ndarray, tol: float = _FINGERPRINT_TOL) -> int:
@@ -233,22 +226,20 @@ def first_support_index(p: np.ndarray, tol: float = _FINGERPRINT_TOL) -> int:
 def _compare_candidates(a, b) -> int:
     """Dimension, then first-support index, then a tolerance-compared projector
     fingerprint (seed-independent for canonical spaces), then eigenvalue."""
-    sub_a, pa, ev_a = a
-    sub_b, pb, ev_b = b
-    if sub_a.rank != sub_b.rank:
-        return -1 if sub_a.rank < sub_b.rank else 1
-    fa, fb = first_support_index(pa), first_support_index(pb)
+    if a.dim != b.dim:
+        return -1 if a.dim < b.dim else 1
+    fa, fb = first_support_index(a.projector), first_support_index(b.projector)
     if fa != fb:
         return -1 if fa < fb else 1
-    d = (pa - pb).ravel()
+    d = (a.projector - b.projector).ravel()
     parts = np.empty(2 * d.size)
     parts[0::2] = d.real
     parts[1::2] = d.imag
     hits = np.nonzero(np.abs(parts) > _FINGERPRINT_TOL)[0]
     if hits.size:
         return 1 if parts[hits[0]] > 0 else -1
-    if ev_a != ev_b:
-        return -1 if ev_a < ev_b else 1
+    if a.eigenvalue != b.eigenvalue:
+        return -1 if a.eigenvalue < b.eigenvalue else 1
     return 0
 
 
@@ -275,13 +266,12 @@ def check_star(spaces, action: GroupAction, tol: float = DEFAULT_TOL) -> np.ndar
     holds iff all entries equal 1.
     """
     n = action.n_points
-    bases = np.concatenate([s.space.basis for s in spaces], axis=1)
-    owner = np.repeat(np.arange(len(spaces)), [s.dim for s in spaces])
+    w, starts = stacked_bases([s.space for s in spaces])
     table = np.zeros((len(spaces), n), dtype=int)
     for x in range(n):
         bx = h_space(action, x, tol).basis
-        weights = np.sum(np.abs(bases.conj().T @ bx) ** 2, axis=1)
-        traces = np.bincount(owner, weights=weights, minlength=len(spaces))
+        weights = np.sum(np.abs(w.conj().T @ bx) ** 2, axis=1)
+        traces = np.add.reduceat(weights, starts)
         dims = np.rint(traces)
         bad = np.nonzero((dims == 0) | (np.abs(traces - dims) > tol))[0]
         if bad.size:
@@ -295,16 +285,17 @@ def check_star(spaces, action: GroupAction, tol: float = DEFAULT_TOL) -> np.ndar
 
 
 def completeness_residual(spaces, n_points: int) -> float:
-    total = sum((s.projector for s in spaces), np.zeros((n_points, n_points), dtype=complex))
-    return max_abs(total - np.eye(n_points))
+    """max |W W^H - I|: the projectors P_i = V_i V_i^H sum to W W^H."""
+    w, _ = stacked_bases([s.space for s in spaces])
+    return max_abs(w @ w.conj().T - np.eye(n_points))
 
 
 def orthogonality_residual(spaces) -> float:
-    worst = 0.0
-    for i in range(len(spaces)):
-        for j in range(i + 1, len(spaces)):
-            worst = max(worst, max_abs(spaces[i].projector @ spaces[j].projector))
-    return worst
+    """Largest entry of the off-diagonal Gram blocks V_i^H V_j."""
+    w, starts = stacked_bases([s.space for s in spaces])
+    blocks = block_max_abs(w.conj().T @ w, starts, starts)
+    np.fill_diagonal(blocks, 0.0)
+    return float(blocks.max())
 
 
 def equivariance_residual(spaces, action: GroupAction) -> float:

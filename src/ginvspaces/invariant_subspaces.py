@@ -5,6 +5,8 @@ span); its signature is the set of minimal spaces it meets, and the structure
 verification asserts that the subspace equals the direct sum over its
 signature. When two minimal spaces are isomorphic the equality can fail, and
 the twisted-diagonal construction produces a deliberate witness of that.
+Signatures are blocks of W^H V_y for the stacked basis W = [V_1 ... V_k],
+and the exhaustive round trip reads every subset off one overlap matrix of W^H W.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import numpy as np
 
 from .decomposition import multiplicity_free
 from .errors import InternalInconsistency, StructureFailure
-from .linalg import DEFAULT_TOL, Subspace, max_abs, orthonormalize, projector, subspace_equal
+from .linalg import DEFAULT_TOL, Subspace, block_max_abs, max_abs, orthonormalize, projector
+from .linalg import stacked_bases, subspace_equal
 from .perm_action import GroupAction
 from .schur import group_average
 
@@ -77,9 +80,11 @@ def orbit_span(vectors, action: GroupAction, tol: float = DEFAULT_TOL) -> Subspa
 
 def signature(y: Subspace, spaces, tol: float = DEFAULT_TOL) -> SignatureSet:
     """Ids of the minimal spaces with nonvanishing projection of y."""
-    py = projector(y)
-    ids = tuple(sorted(s.id for s in spaces if max_abs(s.projector @ py) > tol))
-    return SignatureSet(omega=ids)
+    if not spaces or y.rank == 0:
+        return SignatureSet(omega=())
+    w, starts = stacked_bases([s.space for s in spaces])
+    meets = block_max_abs(w.conj().T @ y.basis, starts, [0])[:, 0] > tol
+    return SignatureSet(omega=tuple(sorted(s.id for s, hit in zip(spaces, meets) if hit)))
 
 
 def direct_sum(omega, spaces) -> Subspace:
@@ -93,8 +98,8 @@ def direct_sum(omega, spaces) -> Subspace:
         raise ValueError(f"ids {unknown} are not in the decomposition")
     ambient = spaces[0].space.ambient_dim
     tol = max(s.space.tol for s in spaces)
-    mats = [by_id[i].space.basis for i in ids]
-    basis = np.concatenate(mats, axis=1) if mats else np.zeros((ambient, 0), dtype=complex)
+    chosen = [by_id[i].space for i in ids]
+    basis = stacked_bases(chosen)[0] if chosen else np.zeros((ambient, 0), dtype=complex)
     return Subspace(ambient, basis, tol)
 
 
@@ -194,12 +199,10 @@ def signature_roundtrip_exhaustive(spaces, tol: float = DEFAULT_TOL):
     ids = [s.id for s in spaces]
     if len(ids) > 12:
         raise ValueError("exhaustive check is limited to 12 spaces")
-    ok = True
-    count = 0
-    for mask in range(2 ** len(ids)):
-        omega = tuple(ids[b] for b in range(len(ids)) if mask & (1 << b))
-        e = direct_sum(omega, spaces)
-        if signature(e, spaces, tol).omega != omega:
-            ok = False
-        count += 1
-    return ok, count
+    direct_sum(ids, spaces)  # raises ValueError unless the full sum is orthonormal
+    w, starts = stacked_bases([s.space for s in spaces])
+    meets = block_max_abs(w.conj().T @ w, starts, starts) > tol
+    # row m is subset m; its direct sum meets exactly the spaces overlapping a member
+    masks = (np.arange(2 ** len(ids))[:, None] >> np.arange(len(ids))) & 1
+    ok = bool(np.array_equal(masks @ meets.T > 0, masks == 1))
+    return ok, len(masks)

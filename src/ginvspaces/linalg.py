@@ -5,6 +5,8 @@ function-space inner product carries the uniform weight 1/n, and that weight
 is a scalar multiple of the identity, orthogonal projectors, complements and
 intersections coincide with their unweighted counterparts; the weight only
 resurfaces in kernel normalization and in reported inner-product values.
+Bases are orthonormalized by one thin SVD, and collections of subspaces are
+related through their stacked basis W = [V_1 ... V_k] and its blocks.
 """
 
 from __future__ import annotations
@@ -87,25 +89,34 @@ class Subspace:
 def orthonormalize(vectors, tol: float = DEFAULT_TOL) -> Subspace:
     """Span-preserving orthonormal basis of the given columns.
 
-    Modified Gram-Schmidt with one reorthogonalization pass; columns whose
-    deflated norm falls below tol (relative to the original column) are dropped.
+    One thin SVD: the left singular vectors whose singular values exceed
+    tol * max(1, largest singular value) span the columns' numerical range.
     """
     v = check_finite(vectors)
     if v.ndim != 2:
         raise ValueError("expected a 2-d array of column vectors")
-    n = v.shape[0]
-    cols = []
-    for j in range(v.shape[1]):
-        w = v[:, j].copy()
-        scale = max(1.0, float(np.linalg.norm(w)))
-        for _ in range(2):
-            for q in cols:
-                w -= q * np.vdot(q, w)
-        nrm = float(np.linalg.norm(w))
-        if nrm > tol * scale:
-            cols.append(w / nrm)
-    basis = np.stack(cols, axis=1) if cols else np.zeros((n, 0), dtype=complex)
-    return Subspace(n, basis, tol)
+    u, s, _ = np.linalg.svd(v, full_matrices=False)
+    return Subspace(v.shape[0], u[:, s > tol * max(1.0, s.max(initial=0.0))], tol)
+
+
+def stacked_bases(subspaces):
+    """W = [V_1 ... V_k] and the first column of each basis in W; block (i, j) of
+    W^H X W is V_i^H X V_j, so every cross-space check is one product with W."""
+    bases = [s.basis for s in subspaces]
+    starts = np.cumsum([0] + [b.shape[1] for b in bases[:-1]])
+    return np.concatenate(bases, axis=1), starts
+
+
+def block_max_abs(m, row_starts, col_starts) -> np.ndarray:
+    """Max-abs of each block of the trailing two axes, cut at the given starts."""
+    rows = np.maximum.reduceat(np.abs(m), row_starts, axis=-2)
+    return np.maximum.reduceat(rows, col_starts, axis=-1)
+
+
+def bin_sums(bins, values, size: int) -> np.ndarray:
+    """Complex sums of the values falling in each of the integer bins 0..size-1."""
+    v = values.ravel()
+    return np.bincount(bins, v.real, size) + 1j * np.bincount(bins, v.imag, size)
 
 
 def projector(s: Subspace) -> np.ndarray:

@@ -188,7 +188,8 @@ def enumerate_group(generators, cap: int = DEFAULT_CAP) -> GroupAction:
 
 def orbit_of_point(action: GroupAction, x: int) -> list:
     """Orbit of x under the group, as a sorted point list."""
-    return sorted(int(p) for p in np.unique(action.images[:, x]))
+    # a histogram, not np.unique, which pulls numpy.ma into the process
+    return np.flatnonzero(np.bincount(action.images[:, x], minlength=action.n_points)).tolist()
 
 
 def is_transitive(action: GroupAction) -> bool:
@@ -214,9 +215,9 @@ def subgroup_point_orbits(action: GroupAction, members) -> list:
     for p in range(action.n_points):
         if seen[p]:
             continue
-        orb = np.unique(sub[:, p])
+        orb = np.flatnonzero(np.bincount(sub[:, p], minlength=action.n_points))
         seen[orb] = True
-        orbits.append([int(q) for q in orb])
+        orbits.append(orb.tolist())
     return orbits
 
 

@@ -5,8 +5,10 @@ between minimal spaces such a map must vanish, and on a single minimal space
 it must be a scalar multiple of the projector. The group average
 (1/|G|) sum_g B[g.x, g.y] visits each pair of the orbital of (x, y) equally
 often, so it is computed as the mean of B over that orbital, read off the
-action's orbital-label matrix without touching the group elements. The trial
-driver verifies the dichotomy on batches of seeded random operators.
+action's orbital-label matrix without touching the group elements.
+The projectors lie in the commutant, so avg(P_j A P_i) = P_j avg(A) P_i: the
+trials average each seeded random operator once and read every pair
+i -> j off block (j, i) of W^H avg(A) W, W = [V_1 ... V_k] the stacked basis.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import MinimalSpace
-from .linalg import DEFAULT_TOL, max_abs, subspace_equal
+from .linalg import DEFAULT_TOL, bin_sums, block_max_abs, max_abs, stacked_bases, subspace_equal
 from .perm_action import GroupAction
 
 
@@ -51,17 +53,18 @@ def group_average(a, src: MinimalSpace, dst: MinimalSpace, action: GroupAction) 
     n = action.n_points
     if a.ndim < 2 or a.shape[-2:] != (n, n):
         raise ValueError("operator shape does not match the point count")
-    b = (dst.projector @ a @ src.projector).reshape(-1, n * n)
+    return _orbital_mean(dst.projector @ a @ src.projector, action)
+
+
+def _orbital_mean(a: np.ndarray, action: GroupAction) -> np.ndarray:
+    """Replace every entry of each (n, n) operator in the stack by its orbital's mean."""
+    n = action.n_points
+    b = a.reshape(-1, n * n)
     labels = action.orbital_labels.ravel()
     sizes = np.bincount(labels)
     # one bincount over (operator, orbital) bins covers the whole stack
     bins = (labels + sizes.size * np.arange(len(b))[:, None]).ravel()
-
-    def orbital_sums(part):
-        return np.bincount(bins, weights=part.ravel(), minlength=sizes.size * len(b))
-
-    sums = orbital_sums(b.real) + 1j * orbital_sums(b.imag)
-    means = sums.reshape(len(b), sizes.size) / sizes
+    means = bin_sums(bins, b, sizes.size * len(b)).reshape(len(b), sizes.size) / sizes
     return means[:, labels].reshape(a.shape)
 
 
@@ -82,6 +85,24 @@ def classify_intertwiner(
     return IntertwinerClass(kind="violation", constant=None, residual=norm)
 
 
+def _compressed_classes(action: GroupAction, spaces, draws: np.ndarray, tol: float):
+    """`classify_intertwiner` kinds (0 zero, 1 scalar, 2 violation) and residuals,
+    (trials, k, k), of the pair i -> j at (t, j, i): block (j, i) of W^H avg(A_t) W,
+    zero within tol, and scalar on the diagonal when C_ii - (trace C_ii / d_i) I is."""
+    w, starts = stacked_bases([s.space for s in spaces])
+    c = w.conj().T @ _orbital_mean(draws, action) @ w
+    norms = block_max_abs(c, starts, starts)
+    dims = np.array([s.dim for s in spaces])
+    traces = np.add.reduceat(np.diagonal(c, axis1=-2, axis2=-1), starts, axis=-1)
+    c -= np.repeat(traces / dims, dims, axis=-1)[..., None] * np.eye(c.shape[-1])
+    deviation = np.diagonal(block_max_abs(c, starts, starts), axis1=-2, axis2=-1)
+    nonzero_diag = np.eye(len(spaces), dtype=bool) & (norms > tol)
+    kinds = np.where(norms <= tol, 0, 2)
+    kinds[nonzero_diag & (deviation <= tol)[:, :, None]] = 1
+    residuals = np.where(nonzero_diag, deviation[:, :, None], norms)
+    return kinds, residuals
+
+
 def dichotomy_trials(
     action: GroupAction,
     spaces,
@@ -89,33 +110,18 @@ def dichotomy_trials(
     seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> SchurSummary:
-    """Classify group averages of seeded random operators for every ordered pair."""
+    """Classify group averages of one seeded random operator per trial, for every pair."""
     rng = np.random.default_rng(seed)
     n = action.n_points
-    zero = scalar = violation = 0
-    max_off = max_diag = 0.0
-    for src in spaces:
-        for dst in spaces:
-            draws = rng.standard_normal((trials, n, n)) + 1j * rng.standard_normal((trials, n, n))
-            averaged = group_average(draws, src, dst, action)
-            for t in averaged:
-                cls = classify_intertwiner(t, src, dst, tol)
-                if cls.kind == "zero":
-                    zero += 1
-                elif cls.kind == "scalar":
-                    scalar += 1
-                else:
-                    violation += 1
-                if src.id == dst.id:
-                    max_diag = max(max_diag, cls.residual)
-                else:
-                    max_off = max(max_off, cls.residual)
+    draws = rng.standard_normal((trials, n, n)) + 1j * rng.standard_normal((trials, n, n))
+    kinds, residuals = _compressed_classes(action, spaces, draws, tol)
+    on_diag = np.eye(len(spaces), dtype=bool)
     return SchurSummary(
         pairs=len(spaces) ** 2,
         trials_per_pair=trials,
-        zero_count=zero,
-        scalar_count=scalar,
-        violation_count=violation,
-        max_offdiagonal_residual=max_off,
-        max_diagonal_residual=max_diag,
+        zero_count=int(np.count_nonzero(kinds == 0)),
+        scalar_count=int(np.count_nonzero(kinds == 1)),
+        violation_count=int(np.count_nonzero(kinds == 2)),
+        max_offdiagonal_residual=float(residuals[:, ~on_diag].max(initial=0.0)),
+        max_diagonal_residual=float(residuals[:, on_diag].max(initial=0.0)),
     )

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import ginvspaces
 
 from ginvspaces import torus
 from ginvspaces.cli import (
@@ -219,6 +225,40 @@ def test_trial_counts_out_of_range_rejected(capsys, argv):
     error = json.loads(out)["error"]
     assert error["type"] == "SpecParseError"
     assert argv[-2] in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--group", "cyclic:4", "--seed", "-1"),
+        ("survey", "cyclic:3..4", "--seed", "-5"),
+        ("torus", "--seed", "-1"),
+    ],
+)
+def test_negative_seed_rejected(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    error = json.loads(out)["error"]
+    assert error["type"] == "SpecParseError"
+    assert "--seed" in error["message"]
+
+
+def test_decompose_run_leaves_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs megabytes of resident memory in every CLI process
+    script = (
+        "import sys\n"
+        "from ginvspaces.cli import main\n"
+        "code = main(['decompose', '--group', 'cyclic:4', '--out', sys.argv[1]])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(ginvspaces.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "report.json")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert done.stdout.split() == ["0", "False"]
+    assert json.loads((tmp_path / "report.json").read_text())["decomposition"]["n_spaces"] == 4
 
 
 @pytest.mark.parametrize(

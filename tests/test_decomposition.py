@@ -463,3 +463,58 @@ def test_verdict_guard_rejects_star_table_disagreeing_with_multiplicity(monkeypa
     monkeypatch.setattr(decomposition, "multiplicity_free", lambda _action: flipped)
     with pytest.raises(InternalInconsistency, match="star table"):
         build_report(action, seed=42)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 977])
+@pytest.mark.parametrize(
+    "spec", ["cyclic:7", "dihedral:6", "symmetric:4", "regular:symmetric:3", "regular:dihedral:5"]
+)
+def test_generic_element_is_bitwise_the_orbital_basis_sum(monkeypatch, spec, seed):
+    # the pipeline gathers its commutant element off the labels; capture it
+    action = group_from_spec(spec)
+    seen = []
+    original = decomposition.hermitian_eig
+
+    def capture(m, tol):
+        seen.append(np.array(m))
+        return original(m, tol)
+
+    monkeypatch.setattr(decomposition, "hermitian_eig", capture)
+    minimal_decomposition(action, seed=seed)
+    oracle = random_commutant_element(commutant_basis(action), seed)
+    assert seen[0].dtype == oracle.dtype
+    assert seen[0].tobytes() == oracle.tobytes()
+
+
+def intertwiner_dimension_dense(v, action, tol=1e-9):
+    """Oracle: compress the stacked dense orbital basis, v^H A_k v for every k."""
+    basis = np.stack(commutant_basis(action))
+    rows = (v.conj().T @ basis @ v).reshape(len(basis), -1)
+    s = np.linalg.svd(rows, compute_uv=False)
+    return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
+
+
+@pytest.mark.parametrize(
+    "spec", ["cyclic:6", "dihedral:5", "symmetric:4", "regular:symmetric:3", "regular:dihedral:4"]
+)
+def test_label_intertwiner_dimension_matches_dense_stack(spec):
+    action = group_from_spec(spec)
+    spaces = minimal_decomposition(action, seed=42)
+    n = action.n_points
+    rng = np.random.default_rng(23)
+    candidates = [s.space.basis for s in spaces]
+    candidates += [np.concatenate([a.space.basis, b.space.basis], axis=1)
+                   for a in spaces for b in spaces if a.id < b.id]
+    candidates += [np.eye(n, dtype=complex)]
+    candidates += [random_subspace_basis(n, r, rng) for r in (1, 2, n - 1)]
+    dims = []
+    for v in candidates:
+        got = decomposition._intertwiner_dimension(v, action.orbital_labels, 1e-9)
+        assert got == intertwiner_dimension_dense(v, action)
+        dims.append(got)
+    assert dims[: len(spaces)] == [1] * len(spaces)
+    assert dims[-4] == len(commutant_basis(action))  # the whole space: the full commutant
+
+
+def random_subspace_basis(n, r, rng):
+    return orthonormalize(rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))).basis

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,9 +26,11 @@ from ginvspaces.perm_action import (
     cyclic_generators,
     dihedral_generators,
     enumerate_group,
+    group_from_spec,
     regular_action,
     symmetric_generators,
 )
+from ginvspaces.schur import group_average
 
 
 def decompose(gens, seed=42):
@@ -207,3 +211,76 @@ def test_norm_equivalence_of_membership_in_the_finite_model():
             in_sup = max_abs(defect) <= 1e-9
             in_l2 = mu_norm(defect) <= 1e-9
             assert in_sup == in_l2
+
+
+SPECS = ["cyclic:6", "dihedral:5", "symmetric:4", "regular:symmetric:3", "regular:dihedral:4"]
+
+
+def projector_signature(y, spaces, tol=1e-9):
+    """Oracle: the spaces whose projector has a nonvanishing product with y's."""
+    py = projector(y)
+    return tuple(sorted(s.id for s in spaces if max_abs(s.projector @ py) > tol))
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_signature_matches_projector_products_on_orbit_spans(spec):
+    action = group_from_spec(spec)
+    spaces = minimal_decomposition(action, seed=42)
+    n = action.n_points
+    rng = np.random.default_rng(31)
+    seen = set()
+    for _ in range(12):
+        # vectors inside a random direct sum, so signatures are proper subsets too
+        picked = rng.random(len(spaces)) < 0.5
+        inside = direct_sum([s.id for s, p in zip(spaces, picked) if p], spaces)
+        m = int(rng.integers(1, 4))
+        vecs = inside.basis @ (rng.standard_normal((inside.rank, m)) + 0j)
+        y = orbit_span(vecs, action)
+        assert signature(y, spaces).omega == projector_signature(y, spaces)
+        seen.add(signature(y, spaces).omega)
+    for i, j in [(0, len(spaces) - 1), (len(spaces) - 2, len(spaces) - 1)]:
+        # the graph of an averaged map between two spaces (twisted when isomorphic)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        t = group_average(a, spaces[i], spaces[j], action)
+        y = orthonormalize(spaces[i].space.basis + t @ spaces[i].space.basis)
+        assert signature(y, spaces).omega == projector_signature(y, spaces)
+    assert len(seen) > 3
+    empty = Subspace(n, np.zeros((n, 0), dtype=complex))
+    assert signature(empty, spaces).omega == projector_signature(empty, spaces) == ()
+
+
+def roundtrip_per_subset(spaces, tol=1e-9):
+    """Oracle: the direct sum and projector signature of every subset in turn."""
+    ids = [s.id for s in spaces]
+    ok = True
+    for mask in range(2 ** len(ids)):
+        omega = tuple(ids[b] for b in range(len(ids)) if mask >> b & 1)
+        ok &= projector_signature(direct_sum(omega, spaces), spaces, tol) == omega
+    return ok, 2 ** len(ids)
+
+
+@pytest.mark.parametrize("spec", SPECS + ["cyclic:1", "regular:cyclic:12"])
+def test_roundtrip_matches_per_subset_loop(spec):
+    action = group_from_spec(spec)
+    spaces = minimal_decomposition(action, seed=42)
+    assert signature_roundtrip_exhaustive(spaces) == roundtrip_per_subset(spaces)
+    assert signature_roundtrip_exhaustive(spaces)[0]
+
+
+def test_roundtrip_fails_on_overlapping_spaces():
+    # space 1 tilted towards space 0 by 1e-6: orthonormal within the spaces' own
+    # loose tolerance, so every direct sum exists, but the two spaces overlap
+    action, spaces = decompose(cyclic_generators(6))
+    tilted = orthonormalize(spaces[1].space.basis + 1e-6 * spaces[0].space.basis).basis
+    loose = []
+    for s in spaces:
+        sub = Subspace(6, tilted if s.id == 1 else s.space.basis, tol=1e-3)
+        loose.append(replace(s, space=sub, projector=projector(sub)))
+    assert signature_roundtrip_exhaustive(loose) == roundtrip_per_subset(loose) == (False, 64)
+
+
+def test_roundtrip_rejects_a_direct_sum_that_is_not_orthonormal():
+    action, spaces = decompose(cyclic_generators(6))
+    repeated = list(spaces) + [replace(spaces[0], id=len(spaces))]
+    with pytest.raises(ValueError):
+        signature_roundtrip_exhaustive(repeated)

@@ -4,12 +4,14 @@ import pytest
 from ginvspaces.errors import NotHermitian
 from ginvspaces.linalg import (
     Subspace,
+    block_max_abs,
     hermitian_eig,
     intersect,
     max_abs,
     mu_inner,
     orthonormalize,
     projector,
+    stacked_bases,
     subspace_equal,
 )
 
@@ -96,6 +98,54 @@ def test_orthonormalize_is_span_preserving_and_idempotent():
     assert max_abs(v - p @ v) < 1e-10
     again = orthonormalize(s.basis)
     assert subspace_equal(s, again)
+
+
+@pytest.mark.parametrize(
+    "n,rank,cols,scale",
+    [(8, 3, 5, 1.0), (8, 3, 40, 1.0), (5, 5, 12, 1.0), (6, 1, 2, 1.0), (8, 3, 40, 1e6)],
+)
+def test_orthonormalize_rank_deficient_input(n, rank, cols, scale):
+    rng = np.random.default_rng(n * 100 + cols)
+    factor = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    mix = rng.standard_normal((rank, cols)) + 1j * rng.standard_normal((rank, cols))
+    # at scale 1e6 the rounding noise of the product exceeds tol in absolute terms
+    s = orthonormalize(scale * factor @ mix)
+    assert s.rank == rank
+    q, _ = np.linalg.qr(factor)
+    assert max_abs(projector(s) - q @ q.conj().T) < 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e6])
+def test_orthonormalize_scaled_columns(scale):
+    rng = np.random.default_rng(9)
+    base = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+    extra = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
+    mixed = orthonormalize(np.concatenate([base, scale * extra], axis=1))
+    uniform = orthonormalize(scale * base)
+    if scale < 1:
+        # below tol in absolute terms, as Gram-Schmidt treated it: a zero column
+        assert subspace_equal(mixed, orthonormalize(base))
+        assert uniform.rank == 0
+    else:
+        assert subspace_equal(mixed, orthonormalize(np.concatenate([base, extra], axis=1)))
+        assert subspace_equal(uniform, orthonormalize(base))
+    assert max_abs(mixed.basis.conj().T @ mixed.basis - np.eye(mixed.rank)) < 1e-12
+
+
+def test_stacked_bases_and_block_max_abs():
+    rng = np.random.default_rng(2)
+    spaces = [random_subspace(6, r, rng) for r in (1, 3, 2)]
+    w, starts = stacked_bases(spaces)
+    assert starts.tolist() == [0, 1, 4]
+    assert np.array_equal(w, np.concatenate([s.basis for s in spaces], axis=1))
+    m = rng.standard_normal((2, 6, 6)) + 1j * rng.standard_normal((2, 6, 6))
+    blocks = block_max_abs(m, starts, starts)
+    cuts = [0, 1, 4, 6]
+    for t in range(2):
+        for i in range(3):
+            for j in range(3):
+                block = m[t, cuts[i]:cuts[i + 1], cuts[j]:cuts[j + 1]]
+                assert blocks[t, i, j] == max_abs(block)
 
 
 def test_intersect_coordinate_planes():

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from ginvspaces.decomposition import minimal_decomposition, rep_operators
+from ginvspaces.decomposition import minimal_decomposition, multiplicity_free, rep_operators
 from ginvspaces.linalg import max_abs
 from ginvspaces.perm_action import (
     cyclic_generators,
     enumerate_group,
+    group_from_spec,
     regular_action,
     symmetric_generators,
 )
 from ginvspaces.schur import (
+    _compressed_classes,
     classify_intertwiner,
     dichotomy_trials,
     group_average,
@@ -137,3 +139,39 @@ def test_group_average_validates_shape():
     action, spaces = decompose(cyclic_generators(3))
     with pytest.raises(ValueError):
         group_average(np.eye(4), spaces[0], spaces[0], action)
+
+
+BATTERY = (
+    [f"regular:cyclic:{n}" for n in range(2, 13)]
+    + ["symmetric:3", "symmetric:4"]
+    + [f"dihedral:{n}" for n in range(3, 9)]
+    + ["regular:symmetric:3"]
+)
+KIND_CODES = {"zero": 0, "scalar": 1, "violation": 2}
+
+
+@pytest.mark.parametrize("spec", BATTERY)
+def test_compressed_dichotomy_matches_classify_per_trial_and_pair(spec):
+    action = group_from_spec(spec)
+    spaces = minimal_decomposition(action, seed=42)
+    n, trials, seed = action.n_points, 4, 13
+    rng = np.random.default_rng(seed)
+    draws = rng.standard_normal((trials, n, n)) + 1j * rng.standard_normal((trials, n, n))
+    kinds, residuals = _compressed_classes(action, spaces, draws, 1e-9)
+    assert kinds.shape == residuals.shape == (trials, len(spaces), len(spaces))
+    counts = {"zero": 0, "scalar": 0, "violation": 0}
+    for t in range(trials):
+        for i, src in enumerate(spaces):
+            for j, dst in enumerate(spaces):
+                cls = classify_intertwiner(group_average(draws[t], src, dst, action), src, dst)
+                counts[cls.kind] += 1
+                assert kinds[t, j, i] == KIND_CODES[cls.kind]
+                if cls.kind != "violation":
+                    assert residuals[t, j, i] <= 1e-9
+    # dichotomy_trials draws the same stack from the same seed
+    summary = dichotomy_trials(action, spaces, trials=trials, seed=seed)
+    assert (summary.zero_count, summary.scalar_count, summary.violation_count) == (
+        counts["zero"], counts["scalar"], counts["violation"]
+    )
+    # violations are exactly the nonzero averages between isomorphic spaces
+    assert (summary.violation_count == 0) == multiplicity_free(action)
