@@ -86,9 +86,9 @@ def rep_operators(action: GroupAction) -> list:
     """
     n = action.n_points
     ops = []
-    for i, e in enumerate(action.elements):
+    for i, img in enumerate(action.images):
         m = np.zeros((n, n), dtype=float)
-        m[np.arange(n), e.images] = 1.0
+        m[np.arange(n), img] = 1.0
         ops.append(RepOperator(element_index=i, matrix=m))
     return ops
 
@@ -224,14 +224,12 @@ def first_support_index(p: np.ndarray, tol: float = _FINGERPRINT_TOL) -> int:
 
 
 def _compare_candidates(a, b) -> int:
-    """Dimension, then first-support index, then a tolerance-compared projector
-    fingerprint (seed-independent for canonical spaces), then eigenvalue."""
+    """Dimension, then a tolerance-compared fingerprint of projector row 0 (it
+    fixes the projector, as every orbital meets row 0; seed-independent for
+    canonical spaces), then eigenvalue."""
     if a.dim != b.dim:
         return -1 if a.dim < b.dim else 1
-    fa, fb = first_support_index(a.projector), first_support_index(b.projector)
-    if fa != fb:
-        return -1 if fa < fb else 1
-    d = (a.projector - b.projector).ravel()
+    d = a.projector[0] - b.projector[0]
     parts = np.empty(2 * d.size)
     parts[0::2] = d.real
     parts[1::2] = d.imag
@@ -257,31 +255,33 @@ def h_space(action: GroupAction, x: int, tol: float = DEFAULT_TOL) -> Subspace:
 def check_star(spaces, action: GroupAction, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Table of dim(H_i intersect H(x)) over all spaces i and points x.
 
-    P_i commutes with the projector B_x B_x^H onto H(x), so P_i B_x B_x^H
-    projects onto the intersection and the entry is its trace
-    ||P_i B_x||_F^2 = ||V_i^H B_x||_F^2, with V_i the basis of space i.
+    P_i commutes with the projector B_x B_x^H onto H(x), so the entry is the
+    trace ||P_i B_x||_F^2 = ||V_i^H B_x||_F^2, with V_i the basis of space i.
+    H(x) is spanned by the indicators of the stabilizer's orbits, the label
+    classes of row x (with row 0's class sizes s_k), so the entry is
+    sum_k ||sum_{y : label(x, y) = k} V_i[y, :]||^2 / s_k.
     Every entry is a positive integer for a valid decomposition (the
     multiplicity of H_i's isotype); a trace of 0 or one off an integer by
     more than tol is an internal error. The one-dimensionality condition
     holds iff all entries equal 1.
     """
-    n = action.n_points
+    labels = action.orbital_labels
     w, starts = stacked_bases([s.space for s in spaces])
-    table = np.zeros((len(spaces), n), dtype=int)
-    for x in range(n):
-        bx = h_space(action, x, tol).basis
-        weights = np.sum(np.abs(w.conj().T @ bx) ** 2, axis=1)
-        traces = np.add.reduceat(weights, starts)
-        dims = np.rint(traces)
-        bad = np.nonzero((dims == 0) | (np.abs(traces - dims) > tol))[0]
-        if bad.size:
-            i = int(bad[0])
-            raise InternalInconsistency(
-                f"space {spaces[i].id} meets the stabilizer-fixed space of point {x} "
-                f"with trace {float(traces[i])!r}, not a positive integer"
-            )
-        table[:, x] = dims
-    return table
+    sizes = np.bincount(labels[0])
+    class_starts = np.cumsum(sizes) - sizes
+    traces = np.empty((len(spaces), action.n_points))
+    for x, by_class in enumerate(np.argsort(labels, axis=1, kind="stable")):
+        sums = np.add.reduceat(w[by_class], class_starts, axis=0)
+        traces[:, x] = np.add.reduceat(np.sum(np.abs(sums) ** 2 / sizes[:, None], axis=0), starts)
+    dims = np.rint(traces)
+    bad = np.argwhere(((dims == 0) | (np.abs(traces - dims) > tol)).T)
+    if bad.size:
+        x, i = bad[0]
+        raise InternalInconsistency(
+            f"space {spaces[i].id} meets the stabilizer-fixed space of point {x} "
+            f"with trace {float(traces[i, x])!r}, not a positive integer"
+        )
+    return dims.astype(int)
 
 
 def completeness_residual(spaces, n_points: int) -> float:

@@ -1,10 +1,11 @@
 """Finite group actions presented by permutation generators.
 
 Everything downstream works with a fully enumerated group acting on the
-point set {0..n-1}: element lists in a deterministic order, stabilizers,
-and the orbit structure on points and on pairs (orbitals). The orbitals are
-held as one label matrix per action, the single input of the commutant
-algebra built on it.
+point set {0..n-1}, held as one (order, n) image matrix in a deterministic
+order: elements, stabilizers and conjugates are index gathers on it, and
+`Permutation` objects appear only as generators and the lazy `elements`
+view. The orbitals are held as one label matrix per action, the single
+input of the commutant algebra built on it.
 """
 
 from __future__ import annotations
@@ -32,9 +33,12 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images) -> None:
-        arr = np.array(images, dtype=np.int64)
+        arr = np.asarray(images)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidPermutation("image array must be a nonempty 1-d sequence")
+        if arr.dtype.kind not in "iu":
+            raise InvalidPermutation(f"image entries must be integers, not {arr.dtype}")
+        arr = arr.astype(np.int64)
         n = arr.size
         if not np.array_equal(np.sort(arr), np.arange(n)):
             raise InvalidPermutation(f"not a bijection of 0..{n - 1}: {arr.tolist()}")
@@ -88,32 +92,35 @@ class Stabilizer:
 class GroupAction:
     """Enumerated finite group acting on {0..n_points-1}.
 
-    Immutable after construction. `elements[0]` is the identity; `images`
-    stacks all element image arrays as a (order, n_points) matrix, and
-    `inverse_images` the image arrays of the inverses. `orbital_labels` is
-    computed on first use and cached.
+    The group is its (order, n_points) image matrix: row i is the image array
+    of element i, and row 0 is the identity. `inverse_images` holds the rows
+    of the inverses. `elements` (`Permutation` objects, for callers outside
+    the pipeline) and `orbital_labels` are built on first use and cached.
     """
 
-    def __init__(self, n_points: int, generators, elements) -> None:
+    def __init__(self, n_points: int, generators, images) -> None:
         self.n_points = int(n_points)
         self.generators = tuple(generators)
-        self.elements = tuple(elements)
+        self.images = np.array(images, dtype=np.int64)
         self.identity_index = 0
-        if not self.elements or not self.elements[0].is_identity():
-            raise InternalInconsistency("element list must start with the identity")
-        self.images = np.stack([e.images for e in self.elements])
-        self.inverse_images = np.stack([e.inverse().images for e in self.elements])
+        if not len(self.images) or not np.array_equal(self.images[0], np.arange(self.n_points)):
+            raise InternalInconsistency("image matrix must start with the identity")
+        self.inverse_images = np.argsort(self.images, axis=1)
         self.images.setflags(write=False)
         self.inverse_images.setflags(write=False)
-        self._index = {e.key(): i for i, e in enumerate(self.elements)}
+        self._index = {row.tobytes(): i for i, row in enumerate(self.images)}
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.images)
+
+    @functools.cached_property
+    def elements(self) -> tuple:
+        return tuple(Permutation(row) for row in self.images)
 
     def element_index(self, perm: Permutation) -> int:
         try:
-            return self._index[perm.key()]
+            return self._index[perm.images.tobytes()]
         except KeyError:
             raise InternalInconsistency("permutation is not an element of the enumerated group")
 
@@ -143,11 +150,11 @@ class GroupAction:
         return labels
 
     def inverse_index(self, i: int) -> int:
-        return self._index[tuple(int(v) for v in self.inverse_images[i])]
+        return self._index[self.inverse_images[i].tobytes()]
 
     def compose_indices(self, i: int, j: int) -> int:
         """Index of elements[i] composed with elements[j]."""
-        return self.element_index(self.elements[i].compose(self.elements[j]))
+        return self._index[self.images[i][self.images[j]].tobytes()]
 
     def __repr__(self) -> str:
         return f"GroupAction(order={self.order}, n_points={self.n_points})"
@@ -166,24 +173,22 @@ def enumerate_group(generators, cap: int = DEFAULT_CAP) -> GroupAction:
     if any(g.n != n for g in gens):
         raise InvalidPermutation("generators act on different numbers of points")
 
-    ident = Permutation.identity(n)
-    elements = [ident]
-    seen = {ident.key()}
-    frontier = [ident]
-    while frontier:
-        discovered = {}
-        for e in frontier:
-            for g in gens:
-                h = e.compose(g)
-                k = h.key()
-                if k not in seen and k not in discovered:
-                    discovered[k] = h
-        frontier = [discovered[k] for k in sorted(discovered)]
-        elements.extend(frontier)
-        seen.update(discovered)
-        if len(elements) > cap:
+    gen_images = np.stack([g.images for g in gens])
+    frontier = np.arange(n)[None, :]
+    levels = [frontier]
+    seen = {frontier[0].tobytes()}
+    while len(frontier):
+        # row (e, g) is e composed with g; np.unique(axis=0) would import numpy.ma
+        cand = frontier[:, gen_images].reshape(-1, n)
+        cand = cand[np.lexsort(cand.T[::-1])]
+        cand = cand[np.r_[True, (cand[1:] != cand[:-1]).any(axis=1)]]
+        keys = [row.tobytes() for row in cand]
+        frontier = cand[[k not in seen for k in keys]]
+        seen.update(keys)
+        levels.append(frontier)
+        if len(seen) > cap:
             raise CapExceeded(f"group closure exceeded the cap of {cap} elements")
-    return GroupAction(n, gens, elements)
+    return GroupAction(n, gens, np.concatenate(levels))
 
 
 def orbit_of_point(action: GroupAction, x: int) -> list:
@@ -267,11 +272,11 @@ def symmetric_generators(n: int) -> list:
 
 def regular_action(action: GroupAction, cap: int = DEFAULT_CAP) -> GroupAction:
     """The group of `action` acting on itself by left translation."""
-    new_gens = []
-    for g in action.generators:
-        gi = action.element_index(g)
-        images = [action.compose_indices(gi, j) for j in range(action.order)]
-        new_gens.append(Permutation(images))
+    # row j of g.images[action.images] is g composed with element j
+    new_gens = [
+        Permutation([action._index[row.tobytes()] for row in g.images[action.images]])
+        for g in action.generators
+    ]
     return enumerate_group(new_gens, cap=cap)
 
 
@@ -309,6 +314,9 @@ def group_from_spec(spec, cap: int = DEFAULT_CAP) -> GroupAction:
         n = int(arg)
     except ValueError as exc:
         raise SpecParseError(f"bad family size in {spec!r}") from exc
+    # the family acts transitively on its n points, so it has at least n elements
+    if n > cap:
+        raise CapExceeded(f"{name}:{n} has at least {n} elements, past the cap of {cap}")
     return enumerate_group(_FAMILIES[name](n), cap=cap)
 
 
@@ -324,7 +332,10 @@ def _group_from_mapping(payload, cap: int) -> GroupAction:
     for images in gens:
         if isinstance(images, list) and any(isinstance(v, bool) for v in images):
             raise SpecParseError("generator entries must be integers, not booleans")
-        perm = Permutation(images)
+        try:
+            perm = Permutation(images)
+        except InvalidPermutation as exc:
+            raise SpecParseError(f"bad generator in group JSON: {exc}") from exc
         if perm.n != n:
             raise SpecParseError("generator length does not match the point count")
         perms.append(perm)

@@ -243,32 +243,57 @@ def test_negative_seed_rejected(capsys, argv):
     assert "--seed" in error["message"]
 
 
-def test_decompose_run_leaves_numpy_ma_unimported(tmp_path):
+@pytest.mark.parametrize(
+    "spec, n_spaces",
+    [
+        ("cyclic:4", 4),
+        ("regular:symmetric:3", 4),
+        ('{"points": 3, "generators": [[1, 2, 0], [1, 0, 2]]}', 2),
+    ],
+    ids=["cyclic:4", "regular:symmetric:3", "json:symmetric:3"],
+)
+def test_decompose_run_leaves_numpy_ma_unimported(tmp_path, spec, n_spaces):
     # numpy.ma costs megabytes of resident memory in every CLI process
     script = (
         "import sys\n"
         "from ginvspaces.cli import main\n"
-        "code = main(['decompose', '--group', 'cyclic:4', '--out', sys.argv[1]])\n"
+        "code = main(['decompose', '--group', sys.argv[2], '--out', sys.argv[1]])\n"
         "print(code, 'numpy.ma' in sys.modules)\n"
     )
     src = str(Path(ginvspaces.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "report.json")],
+        [sys.executable, "-c", script, str(tmp_path / "report.json"), spec],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     assert done.stdout.split() == ["0", "False"]
-    assert json.loads((tmp_path / "report.json").read_text())["decomposition"]["n_spaces"] == 4
+    assert json.loads((tmp_path / "report.json").read_text())["decomposition"]["n_spaces"] == n_spaces
 
 
 @pytest.mark.parametrize(
     "spec",
-    ['{"points": true, "generators": [[0]]}', '{"points": 2, "generators": [[true, false]]}'],
+    [
+        '{"points": true, "generators": [[0]]}',
+        '{"points": 2, "generators": [[true, false]]}',
+        '{"points": 2, "generators": [[1.5, 0]]}',
+        '{"points": 2, "generators": [["1", "0"]]}',
+        '{"points": 2, "generators": [[99999999999999999999, 0]]}',
+        '{"points": 2, "generators": [null]}',
+        '{"points": 2, "generators": [{"a": 1}]}',
+    ],
 )
 def test_json_booleans_rejected_in_group_spec(capsys, spec):
     code, out = run(capsys, "decompose", "--group", spec)
     assert code == EXIT_PARSE
     assert json.loads(out)["error"]["type"] == "SpecParseError"
+
+
+@pytest.mark.parametrize("family", ["cyclic", "dihedral"])
+def test_family_larger_than_the_cap_exits_before_enumerating(capsys, family):
+    # a transitive family on n points has at least n elements
+    code, out = run(capsys, "decompose", "--group", f"{family}:99999999999999999999")
+    assert code == EXIT_CAP
+    assert json.loads(out)["error"]["type"] == "CapExceeded"
 
 
 TORUS_SUITES = (

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,6 +15,7 @@ from ginvspaces.decomposition import (
     commutant_basis,
     completeness_residual,
     equivariance_residual,
+    first_support_index,
     h_space,
     is_minimal,
     minimal_decomposition,
@@ -402,6 +405,59 @@ def test_check_star_matches_intersection_oracle(spec):
     table = check_star(spaces, action)
     assert table.dtype.kind == "i"
     assert np.array_equal(table, star_table_by_intersection(spaces, action))
+
+
+def star_table_by_h_space_traces(spaces, action):
+    """Oracle: the trace ||V_i^H B_x||_F^2 with B_x from `h_space`'s stabilizer scan."""
+    bases = [h_space(action, x).basis for x in range(action.n_points)]
+    return np.array(
+        [[np.rint(np.sum(np.abs(s.space.basis.conj().T @ b) ** 2)) for b in bases] for s in spaces],
+        dtype=int,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec", ["symmetric:6", "s6-pairs", "regular:cyclic:48", "regular:dihedral:12",
+             "regular:symmetric:5"]
+)
+def test_check_star_matches_h_space_traces_past_the_battery(perfbench, spec):
+    if spec == "s6-pairs":
+        spec = perfbench.workloads.s6_on_pairs(1000)
+    action = group_from_spec(spec)
+    spaces = minimal_decomposition(action, seed=42)
+    assert np.array_equal(check_star(spaces, action), star_table_by_h_space_traces(spaces, action))
+
+
+def compare_full_projectors(a, b, tol=1e-7):
+    """Oracle: dimension, first support, then the first entry of the raveled
+    projector difference beyond tol, then eigenvalue."""
+    if a.dim != b.dim:
+        return -1 if a.dim < b.dim else 1
+    fa, fb = first_support_index(a.projector), first_support_index(b.projector)
+    if fa != fb:
+        return -1 if fa < fb else 1
+    d = (a.projector - b.projector).ravel()
+    parts = np.stack([d.real, d.imag], axis=1).ravel()
+    hits = np.nonzero(np.abs(parts) > tol)[0]
+    if hits.size:
+        return 1 if parts[hits[0]] > 0 else -1
+    if a.eigenvalue != b.eigenvalue:
+        return -1 if a.eigenvalue < b.eigenvalue else 1
+    return 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    BATTERY + ["regular:cyclic:48", "regular:dihedral:12", "regular:cyclic:60",
+               "regular:dihedral:30", "regular:symmetric:5"],
+)
+def test_canonical_order_matches_full_projector_comparator(spec):
+    action = group_from_spec(spec)
+    for seed in (42, 1000):
+        spaces = minimal_decomposition(action, seed=seed)
+        assert all(first_support_index(s.projector) == 0 for s in spaces)
+        resorted = sorted(spaces, key=functools.cmp_to_key(compare_full_projectors))
+        assert [s.id for s in resorted] == list(range(len(spaces)))
 
 
 def multiplicity_free_pairwise(action):

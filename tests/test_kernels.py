@@ -3,12 +3,20 @@ import pytest
 
 from ginvspaces.decomposition import MinimalSpace, minimal_decomposition
 from ginvspaces.errors import PropertyViolation
-from ginvspaces.kernels import KernelFamily, kernel_family, verify_kernel_properties
+from ginvspaces.kernels import (
+    KernelFamily,
+    _stabilizer_residual,
+    kernel_family,
+    verify_kernel_properties,
+)
 from ginvspaces.linalg import Subspace, max_abs, orthonormalize, projector, subspace_equal
 from ginvspaces.perm_action import (
+    GroupAction,
     cyclic_generators,
     dihedral_generators,
     enumerate_group,
+    group_from_spec,
+    stabilizer,
     symmetric_generators,
 )
 
@@ -118,3 +126,51 @@ def test_kernel_family_shape_mismatch():
     _, spaces = decompose(symmetric_generators(3))
     with pytest.raises(ValueError):
         kernel_family(spaces[0], 5)
+
+
+def stabilizer_residual_by_permutations(k, action, rng):
+    """Oracle: the conjugated stabilizers composed as Permutation objects."""
+    n = action.n_points
+    members = stabilizer(action, 0).members
+    col0 = k[:, 0]
+    worst = max(max_abs(col0[action.images[e]] - col0) for e in members)
+    if n > 1:
+        for x in rng.choice(np.arange(1, n), size=min(3, n - 1), replace=False):
+            t = action.elements[int(np.nonzero(action.images[:, 0] == x)[0][0])]
+            colx = k[:, int(x)]
+            for e in members:
+                conj = t.compose(action.elements[e]).compose(t.inverse())
+                worst = max(worst, max_abs(colx[conj.images] - colx))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "spec", ["cyclic:1", "cyclic:6", "dihedral:5", "symmetric:4", "symmetric:5", "regular:symmetric:3"]
+)
+@pytest.mark.parametrize("seed", [0, 11])
+def test_gathered_stabilizer_residual_matches_composed_permutations(spec, seed):
+    action = group_from_spec(spec)
+    n = action.n_points
+    noise = np.random.default_rng(seed)
+    k = noise.standard_normal((n, n)) + 1j * noise.standard_normal((n, n))
+    got = _stabilizer_residual(k, action, np.random.default_rng(seed))
+    assert got == stabilizer_residual_by_permutations(k, action, np.random.default_rng(seed))
+
+
+def test_kernel_broken_only_away_from_point_0_violates_stabilizer_fixity():
+    s4 = enumerate_group(symmetric_generators(4))
+    space = next(s for s in minimal_decomposition(s4, seed=42) if s.dim == 3)
+    k = 4 * space.projector.copy()
+    # a Hermitian change between points 2 and 3 leaves column 0, and so the
+    # check with the stabilizer of 0, untouched; all of 1..3 are drawn as x
+    k[2, 3] += 1e-3
+    k[3, 2] += 1e-3
+    members = stabilizer(s4, 0).members
+    assert max_abs(k[:, 0][s4.images[list(members)]] - k[:, 0]) <= 1e-12
+    # no generators, so the equivariance check that would also see it is empty
+    unpresented = GroupAction(4, [], s4.images)
+    broken = MinimalSpace(id=space.id, space=space.space, projector=k / 4, eigenvalue=0.0)
+    with pytest.raises(PropertyViolation) as err:
+        verify_kernel_properties(KernelFamily(space.id, k), broken, unpresented, seed=5)
+    assert err.value.prop == "4-stabilizer-fix"
+    assert err.value.residual == pytest.approx(1e-3)

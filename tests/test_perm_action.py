@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from ginvspaces.errors import (
     CapExceeded,
+    InternalInconsistency,
     InvalidPermutation,
     NotTransitive,
     SpecParseError,
 )
 from ginvspaces.perm_action import (
+    GroupAction,
     Permutation,
     cyclic_generators,
     dihedral_generators,
@@ -330,3 +332,103 @@ def test_orbital_labels_computed_once_per_action(monkeypatch):
     assert action.orbital_labels is action.orbital_labels
     with pytest.raises(ValueError):
         action.orbital_labels[0, 0] = 1
+
+
+# -- the image-matrix group against the Permutation-object construction ------
+
+
+def enumerate_by_permutations(gens):
+    """Oracle: breadth-first closure over Permutation objects, each level
+    sorted by image tuple."""
+    ident = Permutation.identity(gens[0].n)
+    elements, seen, frontier = [ident], {ident.key()}, [ident]
+    while frontier:
+        discovered = {}
+        for e in frontier:
+            for g in gens:
+                h = e.compose(g)
+                if h.key() not in seen:
+                    discovered.setdefault(h.key(), h)
+        frontier = [discovered[k] for k in sorted(discovered)]
+        elements.extend(frontier)
+        seen.update(discovered)
+    return elements
+
+
+def translations_by_permutations(elements, gens):
+    """Oracle: each generator's left translation of the element list."""
+    index = {e.key(): i for i, e in enumerate(elements)}
+    return [Permutation([index[g.compose(e).key()] for e in elements]) for g in gens]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [f"cyclic:{n}" for n in (1, 2, 5, 12, 48)]
+    + [f"dihedral:{n}" for n in (3, 8, 12)]
+    + [f"symmetric:{n}" for n in (1, 3, 4, 5, 6, 7)]
+    + [f"regular:cyclic:{n}" for n in (2, 12, 48, 60)]
+    + ["regular:dihedral:12", "regular:dihedral:30"]
+    + [f"regular:symmetric:{n}" for n in (3, 4, 5)]
+    + ["s6-pairs"],
+)
+def test_image_matrix_matches_permutation_bfs(perfbench, spec):
+    if spec == "s6-pairs":
+        spec = perfbench.workloads.s6_on_pairs(1000)
+    action = group_from_spec(spec)
+    gens = list(group_from_spec(spec.removeprefix("regular:")).generators)
+    elements = enumerate_by_permutations(gens)
+    if spec.startswith("regular:"):
+        gens = translations_by_permutations(elements, gens)
+        elements = enumerate_by_permutations(gens)
+    assert [g.images.tobytes() for g in action.generators] == [g.images.tobytes() for g in gens]
+    assert action.images.tobytes() == np.stack([e.images for e in elements]).tobytes()
+    inverses = np.stack([e.inverse().images for e in elements])
+    assert action.inverse_images.tobytes() == inverses.tobytes()
+    assert action.elements == tuple(elements)
+    assert action.elements is action.elements
+
+
+def test_index_lookups_agree_with_permutation_algebra():
+    action = enumerate_group(dihedral_generators(5))
+    for i, a in enumerate(action.elements):
+        assert action.element_index(a) == i
+        assert action.inverse_index(i) == action.element_index(a.inverse())
+        for j, b in enumerate(action.elements):
+            assert action.compose_indices(i, j) == action.element_index(a.compose(b))
+
+
+def test_group_action_takes_an_image_matrix_starting_at_the_identity():
+    images = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    action = GroupAction(3, [Permutation([1, 2, 0])], images)
+    assert action.order == 3
+    assert action.compose_indices(1, 1) == 2
+    with pytest.raises(InternalInconsistency):
+        GroupAction(3, [], images[::-1])
+    with pytest.raises(InternalInconsistency):
+        GroupAction(3, [], np.zeros((0, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "images",
+    [[1.0, 0.0], ["1", "0"], [True, False], [None, 0], [2**70, 0], np.array([1.5, 0.5])],
+    ids=["float", "str", "bool", "none", "huge", "float-array"],
+)
+def test_permutation_rejects_non_integer_images(images):
+    with pytest.raises(InvalidPermutation, match="integers"):
+        Permutation(images)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16, np.uint64])
+def test_permutation_accepts_integer_arrays(dtype):
+    perm = Permutation(np.array([2, 0, 1], dtype=dtype))
+    assert perm.images.dtype == np.int64
+    assert perm.key() == (2, 0, 1)
+    assert Permutation([2, 0, 1]) == perm
+
+
+def test_family_larger_than_the_cap_is_refused_by_its_point_count():
+    with pytest.raises(CapExceeded):
+        group_from_spec("cyclic:6", cap=5)
+    with pytest.raises(CapExceeded):
+        group_from_spec("regular:dihedral:99999999999999999999")
+    assert group_from_spec("cyclic:5", cap=5).order == 5
