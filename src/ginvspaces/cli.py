@@ -71,6 +71,11 @@ _SCHUR_SEED_OFFSET = 211
 _STRUCTURE_SEED_OFFSET = 307
 _WITNESS_SEED_OFFSET = 401
 
+# Rounding in an n-point decomposition reaches about n * eps (an orthonormal
+# basis's Gram matrix, the projector sums), so a --tol below this many times
+# n * eps rejects exact results.
+_TOL_FLOOR_ULPS = 16
+
 
 def format_float(x: float) -> str:
     x = float(x)
@@ -143,6 +148,12 @@ def require_at_least(value: int, least: int, flag: str) -> None:
         raise SpecParseError(f"{flag} must be at least {least}")
 
 
+def require_tol_above_rounding(tol: float, n_points: int) -> None:
+    floor = _TOL_FLOOR_ULPS * n_points * np.finfo(float).eps
+    if tol < floor:
+        raise SpecParseError(f"--tol must be at least {floor:.3g} for {n_points} points")
+
+
 def resolve_group(spec: str, action_kind: str, cap: int):
     if spec == "-":
         spec = sys.stdin.read()
@@ -160,6 +171,7 @@ def run_decompose(args) -> dict:
     require_at_least(args.schur_trials, 0, "--schur-trials")
     require_at_least(args.structure_trials, 0, "--structure-trials")
     action = resolve_group(args.group, args.action, args.max_group_order)
+    require_tol_above_rounding(args.tol, action.n_points)
     if not is_transitive(action):
         raise NotTransitive("the decomposition pipeline requires a transitive action")
     seed, tol = args.seed, args.tol
@@ -302,6 +314,7 @@ def run_survey(args) -> dict:
     rows = []
     for family, n in instances:
         action = resolve_group(f"{family}:{n}", args.action, args.max_group_order)
+        require_tol_above_rounding(args.tol, action.n_points)
         if not is_transitive(action):
             raise NotTransitive(f"{family}:{n} is not transitive")
         report = build_report(action, seed=args.seed, tol=args.tol)

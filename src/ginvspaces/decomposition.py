@@ -45,17 +45,20 @@ class RepOperator:
 
 @dataclass(frozen=True)
 class MinimalSpace:
-    """One member of the candidate collection: basis, projector, and the
-    eigenvalue of the generating commutant element that produced it."""
+    """One candidate: its basis and the eigenvalue of the generating commutant
+    element that produced it; `projector` is built from the basis on each read."""
 
     id: int
     space: Subspace
-    projector: np.ndarray
     eigenvalue: float
 
     @property
     def dim(self) -> int:
         return self.space.rank
+
+    @property
+    def projector(self) -> np.ndarray:
+        return projector(self.space)
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,18 @@ def random_commutant_element(basis, seed: int) -> np.ndarray:
         ar, br = rng.uniform(-1.0, 1.0, size=2)
         m = m + ar * (a + a.T) + br * 1j * (a - a.T)
     return m
+
+
+def _orbital_mean(a: np.ndarray, action: GroupAction) -> np.ndarray:
+    """Replace every entry of each (n, n) operator in the stack by its orbital's mean."""
+    n = action.n_points
+    b = a.reshape(-1, n * n)
+    labels = action.orbital_labels.ravel()
+    sizes = np.bincount(labels)
+    # one bincount over (operator, orbital) bins covers the whole stack
+    bins = (labels + sizes.size * np.arange(len(b))[:, None]).ravel()
+    means = bin_sums(bins, b, sizes.size * len(b)).reshape(len(b), sizes.size) / sizes
+    return means[:, labels].reshape(a.shape)
 
 
 def _commutator_residual(p: np.ndarray, action: GroupAction) -> float:
@@ -200,20 +215,21 @@ def _decompose_once(action: GroupAction, seed: int, tol: float) -> list:
         if i == n or w[i] - w[i - 1] > gap:
             sub = Subspace(n, v[:, lo:i], tol)
             p = projector(sub)
-            if _commutator_residual(p, action) > tol:
-                raise MinimalityFailure("eigenspace cluster is not invariant")
+            # K = nP: every kernel identity that can fail here is within 2n max|P - mean(P)|
+            if 2 * n * max_abs(p - _orbital_mean(p, action)) > tol:
+                raise MinimalityFailure("eigenspace cluster is not in the commutant")
             if _intertwiner_dimension(sub.basis, labels, tol) != 1:
                 raise MinimalityFailure("eigenspace cluster is not minimal")
-            candidates.append(MinimalSpace(len(candidates), sub, p, float(w[lo])))
+            candidates.append((MinimalSpace(len(candidates), sub, float(w[lo])), p[0].copy()))
             lo = i
 
-    if completeness_residual(candidates, n) > tol:
-        raise MinimalityFailure("projectors do not sum to the identity")
-    if orthogonality_residual(candidates) > tol:
-        raise MinimalityFailure("eigenspace clusters are not orthogonal")
-
     ordered = sorted(candidates, key=functools.cmp_to_key(_compare_candidates))
-    return [replace(s, id=i) for i, s in enumerate(ordered)]
+    spaces = [replace(s, id=i) for i, (s, _) in enumerate(ordered)]
+    if completeness_residual(spaces, n) > tol:
+        raise MinimalityFailure("projectors do not sum to the identity")
+    if orthogonality_residual(spaces) > tol:
+        raise MinimalityFailure("eigenspace clusters are not orthogonal")
+    return spaces
 
 
 def first_support_index(p: np.ndarray, tol: float = _FINGERPRINT_TOL) -> int:
@@ -224,12 +240,13 @@ def first_support_index(p: np.ndarray, tol: float = _FINGERPRINT_TOL) -> int:
 
 
 def _compare_candidates(a, b) -> int:
-    """Dimension, then a tolerance-compared fingerprint of projector row 0 (it
-    fixes the projector, as every orbital meets row 0; seed-independent for
-    canonical spaces), then eigenvalue."""
+    """Order (space, row 0 of P, copied so no view pins P) pairs by dimension,
+    then a tolerance-compared fingerprint of the row (it fixes P, as every
+    orbital meets row 0; seed-independent for canonical spaces), then eigenvalue."""
+    (a, row_a), (b, row_b) = a, b
     if a.dim != b.dim:
         return -1 if a.dim < b.dim else 1
-    d = a.projector[0] - b.projector[0]
+    d = row_a - row_b
     parts = np.empty(2 * d.size)
     parts[0::2] = d.real
     parts[1::2] = d.imag
@@ -299,10 +316,7 @@ def orthogonality_residual(spaces) -> float:
 
 
 def equivariance_residual(spaces, action: GroupAction) -> float:
-    worst = 0.0
-    for s in spaces:
-        worst = max(worst, _commutator_residual(s.projector, action))
-    return worst
+    return max((_commutator_residual(s.projector, action) for s in spaces), default=0.0)
 
 
 def build_report(action: GroupAction, seed: int = 42, tol: float = DEFAULT_TOL) -> GCollectionReport:

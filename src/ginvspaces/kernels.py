@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import MinimalSpace
+from .decomposition import MinimalSpace, _commutator_residual
 from .errors import PropertyViolation
 from .linalg import max_abs
 from .perm_action import GroupAction, stabilizer
@@ -57,10 +57,9 @@ class KernelPropertyReport:
 
 def kernel_family(space: MinimalSpace, n_points: int) -> KernelFamily:
     """Kernels of the projection onto the space, scaled for the 1/n weight."""
-    p = space.projector
-    if p.shape != (n_points, n_points):
+    if space.space.ambient_dim != n_points:
         raise ValueError("projector shape does not match the point count")
-    return KernelFamily(space_id=space.id, matrix=n_points * p)
+    return KernelFamily(space_id=space.id, matrix=n_points * space.projector)
 
 
 def verify_kernel_properties(
@@ -87,11 +86,7 @@ def verify_kernel_properties(
     fs = rng.standard_normal((n, trials)) + 1j * rng.standard_normal((n, trials))
     reproduction = max_abs(p @ fs - (k @ fs) / n)
 
-    equivariance = 0.0
-    for g in action.generators:
-        img = g.images
-        inv = np.argsort(img)
-        equivariance = max(equivariance, max_abs(k[:, img] - k[inv, :]))
+    equivariance = _commutator_residual(k, action)
 
     stabilizer_fix = _stabilizer_residual(k, action, rng)
 

@@ -94,8 +94,8 @@ class GroupAction:
 
     The group is its (order, n_points) image matrix: row i is the image array
     of element i, and row 0 is the identity. `inverse_images` holds the rows
-    of the inverses. `elements` (`Permutation` objects, for callers outside
-    the pipeline) and `orbital_labels` are built on first use and cached.
+    of the inverses. `elements` (`Permutation` objects, for callers outside the
+    pipeline), `orbital_labels` and `_index` are built on first use and cached.
     """
 
     def __init__(self, n_points: int, generators, images) -> None:
@@ -108,7 +108,6 @@ class GroupAction:
         self.inverse_images = np.argsort(self.images, axis=1)
         self.images.setflags(write=False)
         self.inverse_images.setflags(write=False)
-        self._index = {row.tobytes(): i for i, row in enumerate(self.images)}
 
     @property
     def order(self) -> int:
@@ -117,6 +116,10 @@ class GroupAction:
     @functools.cached_property
     def elements(self) -> tuple:
         return tuple(Permutation(row) for row in self.images)
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        return {row.tobytes(): i for i, row in enumerate(self.images)}
 
     def element_index(self, perm: Permutation) -> int:
         try:

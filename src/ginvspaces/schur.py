@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import MinimalSpace
-from .linalg import DEFAULT_TOL, bin_sums, block_max_abs, max_abs, stacked_bases, subspace_equal
+from .decomposition import MinimalSpace, _orbital_mean
+from .linalg import DEFAULT_TOL, block_max_abs, max_abs, stacked_bases, subspace_equal
 from .perm_action import GroupAction
 
 
@@ -56,29 +56,18 @@ def group_average(a, src: MinimalSpace, dst: MinimalSpace, action: GroupAction) 
     return _orbital_mean(dst.projector @ a @ src.projector, action)
 
 
-def _orbital_mean(a: np.ndarray, action: GroupAction) -> np.ndarray:
-    """Replace every entry of each (n, n) operator in the stack by its orbital's mean."""
-    n = action.n_points
-    b = a.reshape(-1, n * n)
-    labels = action.orbital_labels.ravel()
-    sizes = np.bincount(labels)
-    # one bincount over (operator, orbital) bins covers the whole stack
-    bins = (labels + sizes.size * np.arange(len(b))[:, None]).ravel()
-    means = bin_sums(bins, b, sizes.size * len(b)).reshape(len(b), sizes.size) / sizes
-    return means[:, labels].reshape(a.shape)
-
-
 def classify_intertwiner(
     t, src: MinimalSpace, dst: MinimalSpace, tol: float = DEFAULT_TOL
 ) -> IntertwinerClass:
     """Zero, Scalar(c) with c = trace(T P)/dim, or Violation."""
-    tp = np.asarray(t, dtype=complex) @ src.projector
+    p = src.projector
+    tp = np.asarray(t, dtype=complex) @ p
     norm = max_abs(tp)
     if norm <= tol:
         return IntertwinerClass(kind="zero", constant=None, residual=norm)
     if src.id == dst.id or subspace_equal(src.space, dst.space, tol):
         c = complex(np.trace(tp) / src.dim)
-        residual = max_abs(tp - c * src.projector)
+        residual = max_abs(tp - c * p)
         if residual <= tol:
             return IntertwinerClass(kind="scalar", constant=c, residual=residual)
         return IntertwinerClass(kind="violation", constant=c, residual=residual)

@@ -1,9 +1,9 @@
 """The benchmark's own correctness check, run on one pass of every workload.
 
-Each report of pass 0 (workload seed 1) goes through `cli.main` with `--out`,
-as `perfbench/run.py` runs it, and `perfbench/check.check_report` must find
-no problem: the exact invariants recorded in `perfbench/expected.json` and
-the residual bounds.
+Each report of pass 0 (workload seed 1), and of two more `large_n` passes,
+goes through `cli.main` with `--out`, as `perfbench/run.py` runs it, and
+`perfbench/check.check_report` must find no problem: the exact invariants
+recorded in `perfbench/expected.json` and the residual bounds.
 """
 
 import pytest
@@ -17,9 +17,17 @@ def test_every_benchmark_workload_is_covered(perfbench):
     assert set(perfbench.workloads.WORKLOADS) == set(WORKLOADS)
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_benchmark_pass_reports_are_correct(perfbench, workload, tmp_path):
-    seed = perfbench.workloads.pass_seed(1, 0)
+# at the two extra seeds a cyclic:48 cluster once passed a generator-commutator
+# check on P while its kernel nP broke 3-equivariance or 5-diagonal
+PASSES = [pytest.param(w, 1, 0, id=w) for w in WORKLOADS] + [
+    pytest.param("large_n", 3, 72, id="large_n-3072"),
+    pytest.param("large_n", 8, 125, id="large_n-8125"),
+]
+
+
+@pytest.mark.parametrize("workload, workload_seed, index", PASSES)
+def test_benchmark_pass_reports_are_correct(perfbench, workload, workload_seed, index, tmp_path):
+    seed = perfbench.workloads.pass_seed(workload_seed, index)
     for i, report in enumerate(perfbench.workloads.reports(workload, seed)):
         path = tmp_path / f"{i:02d}.json"
         assert main(list(report.argv) + ["--out", str(path)]) == EXIT_OK, report.key

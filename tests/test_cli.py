@@ -17,6 +17,7 @@ from ginvspaces.cli import (
     main,
     parse_family_range,
     render_json,
+    resolve_group,
 )
 from ginvspaces.errors import PropertyViolation, StructureFailure
 from ginvspaces.invariant_subspaces import StructureWitness
@@ -241,6 +242,37 @@ def test_negative_seed_rejected(capsys, argv):
     error = json.loads(out)["error"]
     assert error["type"] == "SpecParseError"
     assert "--seed" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--group", "symmetric:3", "--action", "regular", "--tol", "3e-16"),
+        ("decompose", "--group", "dihedral:8", "--tol", "1e-15"),
+        ("decompose", "--group", "cyclic:24", "--action", "regular", "--tol", "1e-15"),
+        ("decompose", "--group", "regular:dihedral:30", "--tol", "1e-15"),
+        ("survey", "cyclic:3..5", "--tol", "1e-15"),
+    ],
+)
+def test_tol_below_the_rounding_floor_rejected(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == EXIT_PARSE
+    error = json.loads(out)["error"]
+    assert error["type"] == "SpecParseError"
+    assert "--tol" in error["message"]
+
+
+def test_decompose_natural_action_builds_no_element_lookup(monkeypatch, capsys):
+    built = []
+
+    def resolve(*args):
+        built.append(resolve_group(*args))
+        return built[-1]
+
+    monkeypatch.setattr("ginvspaces.cli.resolve_group", resolve)
+    code, _ = run(capsys, "decompose", "--group", "dihedral:6", "--structure-trials", "5")
+    assert code == EXIT_OK
+    assert "_index" not in vars(built[0])
 
 
 @pytest.mark.parametrize(

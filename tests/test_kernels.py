@@ -9,7 +9,7 @@ from ginvspaces.kernels import (
     kernel_family,
     verify_kernel_properties,
 )
-from ginvspaces.linalg import Subspace, max_abs, orthonormalize, projector, subspace_equal
+from ginvspaces.linalg import Subspace, max_abs, orthonormalize, subspace_equal
 from ginvspaces.perm_action import (
     GroupAction,
     cyclic_generators,
@@ -50,7 +50,7 @@ def test_c4_character_kernels_match_dft_oracle():
 
 def test_rank_zero_space_gives_zero_family():
     zero = Subspace(3, np.zeros((3, 0), dtype=complex))
-    ms = MinimalSpace(id=0, space=zero, projector=projector(zero), eigenvalue=0.0)
+    ms = MinimalSpace(id=0, space=zero, eigenvalue=0.0)
     fam = kernel_family(ms, 3)
     assert max_abs(fam.matrix) == 0.0
 
@@ -169,7 +169,11 @@ def test_kernel_broken_only_away_from_point_0_violates_stabilizer_fixity():
     assert max_abs(k[:, 0][s4.images[list(members)]] - k[:, 0]) <= 1e-12
     # no generators, so the equivariance check that would also see it is empty
     unpresented = GroupAction(4, [], s4.images)
-    broken = MinimalSpace(id=space.id, space=space.space, projector=k / 4, eigenvalue=0.0)
+
+    class BrokenSpace(MinimalSpace):
+        projector = k / 4  # consistent with the broken kernel, not with the basis
+
+    broken = BrokenSpace(id=space.id, space=space.space, eigenvalue=0.0)
     with pytest.raises(PropertyViolation) as err:
         verify_kernel_properties(KernelFamily(space.id, k), broken, unpresented, seed=5)
     assert err.value.prop == "4-stabilizer-fix"
