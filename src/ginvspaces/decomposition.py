@@ -3,15 +3,14 @@
 Everything here is read off the orbital (commutant) algebra, given by the
 action's orbital-label matrix. Orbital indicator matrices span the commutant
 of the permutation operators; eigenspace clusters of a generic Hermitian
-commutant element are invariant, and each cluster is certified minimal by
-compressing the commutant onto its basis. The star table dim(H_i ∩ H(x)) is a
-trace: P_i commutes with the projector onto the stabilizer-fixed space H(x),
-so the entry is ||P_i B_x||_F^2 for an orthonormal basis B_x of H(x), and by
-Frobenius reciprocity it equals the multiplicity of H_i's isotype.
-Multiplicity-freeness is commutativity of the orbital algebra, tested on the
-row-0 products of its basis. For a transitive action the two agree, so a
-verified collection (orthogonal, complete, meeting every H(x) in exactly one
-dimension) is exactly the multiplicity-free case.
+commutant element are invariant, and their characters give the matrix
+Gamma_ij = <chi_i, chi_j> = dim Hom_G(H_i, H_j), whose unit diagonal certifies
+each cluster minimal and whose row sums are the isotype multiplicities. The
+star table dim(H_i ∩ H(x)) is a trace, ||P_i B_x||_F^2 for an orthonormal
+basis B_x of the stabilizer-fixed space H(x), which P_i commutes with; by
+Frobenius reciprocity it equals the same multiplicity. Multiplicity-freeness
+is commutativity of the orbital algebra, tested on the row-0 products of its
+basis, and for a transitive action it holds exactly when Gamma = I.
 """
 
 from __future__ import annotations
@@ -137,28 +136,27 @@ def _commutator_residual(p: np.ndarray, action: GroupAction) -> float:
     return worst
 
 
-def _intertwiner_dimension(v: np.ndarray, labels: np.ndarray, tol: float) -> int:
-    """Dimension of the commutant compressed onto the span of the columns of v.
+def character_gram(spaces, action: GroupAction) -> np.ndarray:
+    """Gamma_ij = <chi_i, chi_j> = dim Hom_G(H_i, H_j) for invariant spaces H_i.
 
-    Group-averaging a full operator basis factors through the conditional
-    expectation onto the commutant, so compressing the orbital basis spans
-    the same operator space. With v orthonormal, X -> v X v^H is an isometry,
-    so the d x d compressions v^H A_k v have the singular values of P A_k P;
-    each sums conj(v[x]) v[y]^T over the pairs (x, y) of orbital k.
+    Each P_i lies in the commutant, so P_i[x, y] = c_i[label(x, y)], read off
+    row 0, which every orbital meets. Then chi_i(g) = tr(L_g P_i) =
+    sum_k N[g, k] c_i[k] with N[g, k] = #{x : label(g.x, x) = k}.
     """
-    r, d = int(labels.max()) + 1, v.shape[1]
-    outer = v.conj()[:, None, :, None] * v[None, :, None, :]
-    bins = (labels.reshape(-1, 1) * d * d + np.arange(d * d)).ravel()
-    rows = bin_sums(bins, outer, r * d * d).reshape(r, d * d)
-    s = np.linalg.svd(rows, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
+    labels = action.orbital_labels
+    r, k, g = int(labels.max()) + 1, len(spaces), action.order
+    w, starts = stacked_bases([s.space for s in spaces])
+    rows = np.add.reduceat(w[0] * w.conj(), starts, axis=1)  # rows[y, i] = P_i[0, y]
+    bins = (labels[0][:, None] * k + np.arange(k)).ravel()
+    c = bin_sums(bins, rows, r * k).reshape(r, k) / np.bincount(labels[0])[:, None]
+    moved = labels[action.images, np.arange(action.n_points)] + r * np.arange(g)[:, None]
+    chi = np.bincount(moved.ravel(), minlength=g * r).reshape(g, r) @ c
+    return chi.conj().T @ chi / g
 
 
 def is_minimal(space: MinimalSpace, action: GroupAction, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the self-intertwiner space of the (invariant) space is scalar."""
-    return _intertwiner_dimension(space.space.basis, action.orbital_labels, tol) == 1
+    """True iff the (invariant) space has <chi, chi> = 1: only scalar self-intertwiners."""
+    return abs(character_gram([space], action)[0, 0] - 1) <= tol
 
 
 def multiplicity_free(action: GroupAction) -> bool:
@@ -188,6 +186,11 @@ def minimal_decomposition(
     A cluster failing invariance or minimality means the random element landed
     on a degeneracy; the draw is retried with fresh seeds up to `retries` times.
     """
+    return _decompose(action, seed, tol, retries)[0]
+
+
+def _decompose(action: GroupAction, seed: int, tol: float, retries: int = 5) -> tuple:
+    """(spaces, completeness, orthogonality, Gamma) of the first draw to pass."""
     if retries < 1:
         raise ValueError("retries must be at least 1")
     last = None
@@ -199,7 +202,13 @@ def minimal_decomposition(
     raise last
 
 
-def _decompose_once(action: GroupAction, seed: int, tol: float) -> list:
+def _certify(check: str, residual: float, tol: float) -> float:
+    if residual > tol:
+        raise MinimalityFailure(f"{check} residual {residual:.3e} exceeds tol {tol:.3e}")
+    return residual
+
+
+def _decompose_once(action: GroupAction, seed: int, tol: float) -> tuple:
     n = action.n_points
     labels = action.orbital_labels
     # random_commutant_element of the orbital basis, bit for bit: orbital k adds
@@ -216,20 +225,17 @@ def _decompose_once(action: GroupAction, seed: int, tol: float) -> list:
             sub = Subspace(n, v[:, lo:i], tol)
             p = projector(sub)
             # K = nP: every kernel identity that can fail here is within 2n max|P - mean(P)|
-            if 2 * n * max_abs(p - _orbital_mean(p, action)) > tol:
-                raise MinimalityFailure("eigenspace cluster is not in the commutant")
-            if _intertwiner_dimension(sub.basis, labels, tol) != 1:
-                raise MinimalityFailure("eigenspace cluster is not minimal")
+            _certify("cluster commutant", 2 * n * max_abs(p - _orbital_mean(p, action)), tol)
             candidates.append((MinimalSpace(len(candidates), sub, float(w[lo])), p[0].copy()))
             lo = i
 
     ordered = sorted(candidates, key=functools.cmp_to_key(_compare_candidates))
     spaces = [replace(s, id=i) for i, (s, _) in enumerate(ordered)]
-    if completeness_residual(spaces, n) > tol:
-        raise MinimalityFailure("projectors do not sum to the identity")
-    if orthogonality_residual(spaces) > tol:
-        raise MinimalityFailure("eigenspace clusters are not orthogonal")
-    return spaces
+    gram = character_gram(spaces, action)
+    _certify("character Gram diagonal", max_abs(np.diagonal(gram) - 1), tol)
+    completeness = _certify("completeness", completeness_residual(spaces, n), tol)
+    orthogonality = _certify("orthogonality", orthogonality_residual(spaces), tol)
+    return spaces, completeness, orthogonality, gram
 
 
 def first_support_index(p: np.ndarray, tol: float = _FINGERPRINT_TOL) -> int:
@@ -321,21 +327,23 @@ def equivariance_residual(spaces, action: GroupAction) -> float:
 
 def build_report(action: GroupAction, seed: int = 42, tol: float = DEFAULT_TOL) -> GCollectionReport:
     """Assemble the decomposition, residuals, star table, and verdict."""
-    spaces = minimal_decomposition(action, seed=seed, tol=tol)
+    spaces, completeness, orthogonality, gram = _decompose(action, seed, tol)
     mf = multiplicity_free(action)
     star = check_star(spaces, action, tol)
-    # each star entry is the multiplicity of its space's isotype, so for a
-    # transitive action the table is all ones iff the action is multiplicity-free
-    if bool((star == 1).all()) != mf:
+    # each star entry is the multiplicity of its space's isotype, a row sum of
+    # Gamma; the multiplicities square-sum to dim of the commutant, r
+    mult = np.rint(gram.real).sum(axis=1).astype(int)
+    r = int(action.orbital_labels.max()) + 1
+    if (star != mult[:, None]).any() or mult.sum() != r or bool((mult == 1).all()) != mf:
         raise InternalInconsistency(
-            f"multiplicity_free is {mf} but the star table has entries "
-            f"{np.unique(star).tolist()}"
+            f"multiplicity_free is {mf}, the star table has entries {np.unique(star).tolist()} "
+            f"and Gamma's row sums {np.unique(mult).tolist()} add up to {mult.sum()} of {r}"
         )
     verdict = VERDICT_G_COLLECTION if mf else VERDICT_NOT_UNIQUE
     return GCollectionReport(
         spaces=tuple(spaces),
-        completeness_residual=completeness_residual(spaces, action.n_points),
-        orthogonality_residual=orthogonality_residual(spaces),
+        completeness_residual=completeness,
+        orthogonality_residual=orthogonality,
         equivariance_residual=equivariance_residual(spaces, action),
         multiplicity_free=mf,
         star_table=star,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import multiplicity_free
+from .decomposition import character_gram, multiplicity_free
 from .errors import InternalInconsistency, StructureFailure
 from .linalg import DEFAULT_TOL, Subspace, block_max_abs, max_abs, orthonormalize, projector
 from .linalg import stacked_bases, subspace_equal
@@ -162,32 +162,30 @@ def twisted_diagonal_witness(
 
     The graph of a nonzero intertwiner H_i -> H_j is invariant and meets both
     spaces, yet spans neither, so it is strictly smaller than the direct sum
-    over its signature. Returns None when no isomorphic pair exists (the
-    multiplicity-free case, where the theorem leaves nothing to witness).
+    over its signature. The pair is the first i < j with Gamma_ij >= 1; returns
+    None when Gamma is diagonal (the multiplicity-free case).
     """
-    rng = np.random.default_rng(seed)
+    pairs = np.argwhere(np.triu(np.rint(character_gram(spaces, action).real), 1) >= 1)
+    if not pairs.size:
+        return None
+    i, j = pairs[0]
     n = action.n_points
-    for i in range(len(spaces)):
-        for j in range(len(spaces)):
-            if i == j or spaces[i].dim != spaces[j].dim:
-                continue
-            for _ in range(3):
-                a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                t = group_average(a, spaces[i], spaces[j], action)
-                if max_abs(t) > max(100 * tol, 1e-6):
-                    basis = spaces[i].space.basis
-                    y = orthonormalize(basis + t @ basis, tol)
-                    om = signature(y, spaces, tol)
-                    e = direct_sum(om, spaces)
-                    if subspace_equal(y, e, tol):
-                        continue
-                    return StructureWitness(
-                        omega=om.omega,
-                        dim_subspace=y.rank,
-                        dim_direct_sum=e.rank,
-                        residual=max_abs(projector(y) - projector(e)),
-                    )
-    return None
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    t = group_average(a, spaces[i], spaces[j], action)
+    basis = spaces[i].space.basis
+    y = orthonormalize(basis + t @ basis, tol)
+    om = signature(y, spaces, tol)
+    e = direct_sum(om, spaces)
+    if max_abs(t) <= max(100 * tol, 1e-6) or subspace_equal(y, e, tol):
+        why = f"Gamma pairs spaces {i} and {j}, but max|avg| {max_abs(t):.3e} gives no smaller graph"
+        raise InternalInconsistency(why)
+    return StructureWitness(
+        omega=om.omega,
+        dim_subspace=y.rank,
+        dim_direct_sum=e.rank,
+        residual=max_abs(projector(y) - projector(e)),
+    )
 
 
 def signature_roundtrip_exhaustive(spaces, tol: float = DEFAULT_TOL):

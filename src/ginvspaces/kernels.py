@@ -16,10 +16,8 @@ import numpy as np
 
 from .decomposition import MinimalSpace, _commutator_residual
 from .errors import PropertyViolation
-from .linalg import max_abs
+from .linalg import DEFAULT_TOL, max_abs
 from .perm_action import GroupAction, stabilizer
-
-KERNEL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,7 +64,7 @@ def verify_kernel_properties(
     family: KernelFamily,
     space: MinimalSpace,
     action: GroupAction,
-    tol: float = KERNEL_TOL,
+    tol: float = DEFAULT_TOL,
     trials: int = 50,
     seed: int = 0,
 ) -> KernelPropertyReport:

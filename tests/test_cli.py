@@ -4,11 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ginvspaces
 
-from ginvspaces import torus
+from ginvspaces import decomposition, torus
 from ginvspaces.cli import (
     EXIT_CAP,
     EXIT_INTERNAL,
@@ -374,6 +375,31 @@ def test_property_violation_payload_carries_prop_and_residual(monkeypatch, capsy
         "message": "kernel property reproduction violated: residual 1.250e-01",
         "prop": "reproduction",
         "residual": 0.125,
+    }
+
+
+@pytest.mark.parametrize(
+    "attr, replacement, message",
+    [
+        # cyclic:3 spaces are lines with |P[x, y]| = 1/3: 2n max|P - 0| = 2
+        ("_orbital_mean", lambda p, action: np.zeros_like(p),
+         "cluster commutant residual 2.000e+00"),
+        ("character_gram", lambda spaces, action: 1.25 * np.eye(len(spaces)),
+         "character Gram diagonal residual 2.500e-01"),
+        ("completeness_residual", lambda *a: 0.25, "completeness residual 2.500e-01"),
+        ("orthogonality_residual", lambda *a: 0.25, "orthogonality residual 2.500e-01"),
+    ],
+    ids=["commutant", "gamma", "completeness", "orthogonality"],
+)
+def test_minimality_failure_payload_names_check_residual_and_tol(
+    monkeypatch, capsys, attr, replacement, message
+):
+    monkeypatch.setattr(decomposition, attr, replacement)
+    code, out = run(capsys, "decompose", "--group", "cyclic:3")
+    assert code == EXIT_INTERNAL
+    assert json.loads(out)["error"] == {
+        "type": "MinimalityFailure",
+        "message": message + " exceeds tol 1.000e-09",
     }
 
 

@@ -12,6 +12,7 @@ from ginvspaces.decomposition import (
     VERDICT_G_COLLECTION,
     VERDICT_NOT_UNIQUE,
     build_report,
+    character_gram,
     check_star,
     commutant_basis,
     completeness_residual,
@@ -535,7 +536,8 @@ def test_corrupted_space_raises_in_check_star_and_report(monkeypatch, vector):
     spaces[1] = corrupted(spaces[1], vector)
     with pytest.raises(InternalInconsistency, match="space 1 .* point 0 with trace"):
         check_star(spaces, d5)
-    monkeypatch.setattr(decomposition, "minimal_decomposition", lambda *a, **k: spaces)
+    certified = decomposition._decompose(d5, 42, 1e-9)
+    monkeypatch.setattr(decomposition, "_decompose", lambda *a, **k: (spaces, *certified[1:]))
     with pytest.raises(InternalInconsistency, match="point 0"):
         build_report(d5, seed=42)
 
@@ -546,6 +548,33 @@ def test_verdict_guard_rejects_star_table_disagreeing_with_multiplicity(monkeypa
     monkeypatch.setattr(decomposition, "multiplicity_free", lambda _action: flipped)
     with pytest.raises(InternalInconsistency, match="star table"):
         build_report(action, seed=42)
+
+
+def test_guard_rejects_star_table_disagreeing_with_gamma(monkeypatch):
+    # S3 regular has multiplicities 1, 1, 2, 2; reversed rows still mix 1s and 2s,
+    # as a non-multiplicity-free table should, so only Gamma's row sums object
+    action = s3_regular()
+    star = decomposition.check_star
+    monkeypatch.setattr(decomposition, "check_star", lambda *a: star(*a)[::-1])
+    with pytest.raises(InternalInconsistency, match="star table"):
+        build_report(action, seed=42)
+
+
+def test_draw_with_gamma_off_the_unit_diagonal_is_retried(monkeypatch):
+    action = make(dihedral_generators(6))
+    gram = decomposition.character_gram
+    calls = []
+
+    def doubled_first(spaces, act):
+        calls.append(spaces)
+        return gram(spaces, act) * (2 if len(calls) == 1 else 1)
+
+    monkeypatch.setattr(decomposition, "character_gram", doubled_first)
+    spaces = minimal_decomposition(action, seed=5)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    expected = minimal_decomposition(action, seed=6)
+    assert [s.eigenvalue for s in spaces] == [s.eigenvalue for s in expected]
 
 
 @pytest.mark.parametrize("seed", [0, 42, 977])
@@ -569,35 +598,38 @@ def test_generic_element_is_bitwise_the_orbital_basis_sum(monkeypatch, spec, see
     assert seen[0].tobytes() == oracle.tobytes()
 
 
-def intertwiner_dimension_dense(v, action, tol=1e-9):
-    """Oracle: compress the stacked dense orbital basis, v^H A_k v for every k."""
+def intertwiner_dimension_dense(u, v, action, tol=1e-9):
+    """Oracle: dim Hom_G(span v, span u), the rank of the compressed dense
+    orbital basis u^H A_k v over every k."""
     basis = np.stack(commutant_basis(action))
-    rows = (v.conj().T @ basis @ v).reshape(len(basis), -1)
+    rows = (u.conj().T @ basis @ v).reshape(len(basis), -1)
     s = np.linalg.svd(rows, compute_uv=False)
     return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
+
+
+def as_space(basis):
+    return MinimalSpace(id=0, space=Subspace(basis.shape[0], basis), eigenvalue=0.0)
 
 
 @pytest.mark.parametrize(
     "spec", ["cyclic:6", "dihedral:5", "symmetric:4", "regular:symmetric:3", "regular:dihedral:4"]
 )
 def test_label_intertwiner_dimension_matches_dense_stack(spec):
+    # Gamma_ij = dim Hom_G(H_j, H_i) on minimal spaces, and <chi, chi> = dim End_G
+    # on invariant sums of them: each pair sum (2 or 4) and the whole space (r)
     action = group_from_spec(spec)
     spaces = minimal_decomposition(action, seed=42)
-    n = action.n_points
-    rng = np.random.default_rng(23)
-    candidates = [s.space.basis for s in spaces]
-    candidates += [np.concatenate([a.space.basis, b.space.basis], axis=1)
-                   for a in spaces for b in spaces if a.id < b.id]
-    candidates += [np.eye(n, dtype=complex)]
-    candidates += [random_subspace_basis(n, r, rng) for r in (1, 2, n - 1)]
-    dims = []
-    for v in candidates:
-        got = decomposition._intertwiner_dimension(v, action.orbital_labels, 1e-9)
-        assert got == intertwiner_dimension_dense(v, action)
-        dims.append(got)
-    assert dims[: len(spaces)] == [1] * len(spaces)
-    assert dims[-4] == len(commutant_basis(action))  # the whole space: the full commutant
-
-
-def random_subspace_basis(n, r, rng):
-    return orthonormalize(rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))).basis
+    gram = character_gram(spaces, action)
+    assert max_abs(gram - np.rint(gram.real)) < 1e-9
+    for a in spaces:
+        for b in spaces:
+            dense = intertwiner_dimension_dense(a.space.basis, b.space.basis, action)
+            assert np.rint(gram[a.id, b.id].real) == dense
+    r = len(commutant_basis(action))
+    pairs = [np.concatenate([a.space.basis, b.space.basis], axis=1)
+             for a in spaces for b in spaces if a.id < b.id]
+    whole = np.eye(action.n_points, dtype=complex)
+    for v, allowed in [(v, (2, 4)) for v in pairs] + [(whole, (r,))]:
+        got = character_gram([as_space(v)], action)[0, 0]
+        assert abs(got - intertwiner_dimension_dense(v, v, action)) < 1e-9
+        assert round(got.real) in allowed

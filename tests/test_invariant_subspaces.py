@@ -3,8 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ginvspaces import invariant_subspaces
 from ginvspaces.decomposition import minimal_decomposition, multiplicity_free
-from ginvspaces.errors import StructureFailure
+from ginvspaces.errors import InternalInconsistency, StructureFailure
 from ginvspaces.invariant_subspaces import (
     SignatureSet,
     direct_sum,
@@ -172,6 +173,16 @@ def test_twisted_diagonal_witness_on_s3_regular():
     assert w.dim_subspace < w.dim_direct_sum
     assert w.residual > 0.1
     assert len(w.omega) == 2
+
+
+def test_twisted_diagonal_witness_raises_when_gamma_pair_average_vanishes(monkeypatch):
+    # Gamma says spaces are isomorphic, so a vanishing average is a contradiction
+    action, spaces = s3_regular_instance()
+    monkeypatch.setattr(
+        invariant_subspaces, "group_average", lambda a, src, dst, act: np.zeros_like(a)
+    )
+    with pytest.raises(InternalInconsistency, match="Gamma pairs spaces"):
+        twisted_diagonal_witness(action, spaces, seed=7)
 
 
 def test_twisted_diagonal_witness_absent_when_multiplicity_free():
