@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ginvspaces
 
@@ -457,3 +461,64 @@ def test_render_json_float_formatting():
     assert render_json(1e-9) == "1.0000000000000001e-09"
     assert render_json({"a": [True, None, 2]}) == '{\n  "a": [true, null, 2]\n}'
     assert render_json(complex(1.5, -2.0)) == "[1.5, -2]"
+
+
+def _maybe_garbage(valid, garbage):
+    """Mostly valid draws, with garbage one time in four."""
+    return st.integers(0, 3).flatmap(lambda r: st.sampled_from(garbage) if r == 0 else valid)
+
+
+@st.composite
+def torus_argvs(draw):
+    """A torus argv over ranges reaching past every bound, and its numeric fields.
+    --monomials terms "k1,..,kj:c" usually have n indices; garbage may replace an
+    index, a coefficient, the index count or the whole term."""
+    n = draw(_maybe_garbage(st.integers(1, 3), [-1, 0, 4]))
+    degree = draw(_maybe_garbage(st.integers(0, 4), [-1, 17] + list(range(5, 17))))
+    trials = [draw(_maybe_garbage(st.integers(1, 3), [-1, 0])) for _ in range(3)]
+    fejer = draw(st.none() | _maybe_garbage(st.integers(0, 5), [-1]))
+    index = _maybe_garbage(
+        st.integers(-4, 4).map(str), ["", "x", "1.5", "9", "99999999999999999999"]
+    )
+    coeff = _maybe_garbage(
+        st.sampled_from(["1", "0.5-1i", "-2i", "3+0i"]), ["i", "1e400", "nan", "", "x", "1:2"]
+    )
+    length = _maybe_garbage(st.just(max(n, 1)), [1, 2, 3, 4])
+    term = _maybe_garbage(
+        st.tuples(length.flatmap(lambda m: st.lists(index, min_size=m, max_size=m)), coeff).map(
+            lambda t: ",".join(t[0]) + ":" + t[1]
+        ),
+        ["", "zz", ":", "1,2", " ; "],
+    )
+    monomials = draw(st.none() | st.lists(term, max_size=3).map(";".join))
+    argv = ["torus", "--n", str(n), "--degree", str(degree), "--unitarity-trials", str(trials[0]),
+            "--fejer-functions", str(trials[1]), "--polydisc-trials", str(trials[2])]
+    if fejer is not None:
+        argv += ["--fejer", str(fejer)]
+    if draw(st.booleans()):
+        argv.append("--check-polydisc")
+    if monomials is not None:
+        argv.append(f"--monomials={monomials}")  # the = form: a term may start with "-"
+    numbers_valid = (
+        1 <= n <= 3 and 0 <= degree <= 16 and min(trials) >= 0 and trials[1] >= 1
+        and (fejer is None or fejer >= 0)
+    )
+    return argv, n, degree, numbers_valid, monomials is not None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(torus_argvs())
+def test_torus_argvs_give_a_report_or_a_json_error(drawn):
+    argv, n, degree, numbers_valid, has_monomials = drawn
+    assume(not (numbers_valid and degree > 4))  # keeps every report on a small box
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    payload = json.loads(out.getvalue())
+    if code == EXIT_OK:
+        assert numbers_valid
+        assert payload["params"]["n"] == n and payload["params"]["degree"] == degree
+        assert ("monomials" in payload) == has_monomials
+    else:
+        assert code == EXIT_PARSE
+        assert payload["error"]["type"] in ("SpecParseError", "DimensionMismatch")

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ginvspaces import torus
+from ginvspaces.cli import EXIT_OK, main
 from ginvspaces.errors import DimensionMismatch
 from ginvspaces.torus import (
     FourierFunction,
@@ -153,6 +154,42 @@ def test_polydisc_closed_under_rotation():
     assert preserved
 
 
+def polydisc_support_reference(n, degree, trials, seed):
+    """The trials compared through support() tuples, with the fold as a dict loop."""
+    rng = np.random.default_rng(seed)
+    preserved = True
+    for _ in range(trials):
+        f = random_function(n, degree, rng)
+        folded_coeffs = {}
+        for k, c in f.coeffs.items():
+            key = tuple(map(abs, k))
+            folded_coeffs[key] = folded_coeffs.get(key, 0j) + c
+        folded = FourierFunction(n, degree, folded_coeffs)
+        rotated = torus.act(random_point(n, rng), folded)
+        same_support = rotated.support() == folded.support()
+        preserved &= polydisc_signature(folded) and polydisc_signature(rotated) and same_support
+    return trials, preserved
+
+
+@pytest.mark.parametrize("n, degree, seed", [(1, 4, 0), (2, 3, 8), (3, 2, 5), (3, 4, 29)])
+def test_polydisc_trials_match_a_support_tuple_reference(n, degree, seed):
+    expected = polydisc_support_reference(n, degree, 20, seed)
+    assert polydisc_rotation_trials(n, degree, trials=20, seed=seed) == expected == (20, True)
+
+
+def test_polydisc_trials_see_a_rotation_that_drops_a_coefficient(monkeypatch):
+    rotate = torus.act
+
+    def dropping(w, f):
+        out = rotate(w, f).array.copy()
+        out.flat[np.flatnonzero(out)[-1]] = 0  # one supported coefficient zeroed
+        return FourierFunction._of(out)
+
+    monkeypatch.setattr(torus, "act", dropping)
+    assert polydisc_rotation_trials(2, 3, trials=5, seed=8) == (5, False)
+    assert polydisc_support_reference(2, 3, 5, 8) == (5, False)
+
+
 def test_separation_examples():
     g = monomial(1, 4, (2,))
     assert separation_check([(1,)], g)
@@ -215,6 +252,28 @@ def test_add_pads_to_the_larger_box():
     assert inner_product(f, g) == pytest.approx(0.5j)
 
 
+def test_aligned_pads_only_the_smaller_box():
+    f = FourierFunction(2, 1, {(1, -1): 1.0})
+    g = FourierFunction(2, 3, {(3, 0): 2.0, (1, -1): 0.5j})
+    h = FourierFunction(2, 1, {(0, 1): 2.0})
+    same = f._aligned(h)
+    assert same[0] is f.array and same[1] is h.array
+    for pair, small in ((f._aligned(g), 0), (g._aligned(f), 1)):
+        assert pair[1 - small] is g.array
+        assert pair[small].shape == (7, 7)
+        assert pair[small][2:5, 2:5].tolist() == f.array.tolist()
+        assert np.count_nonzero(pair[small]) == 1
+
+
+def test_same_degree_torus_suites_never_pad(monkeypatch, capsys):
+    def no_pad(*args, **kwargs):
+        raise AssertionError("np.pad ran on operands of one degree")
+
+    monkeypatch.setattr(np, "pad", no_pad)
+    assert main(["torus", "--n", "3", "--degree", "8"]) == EXIT_OK
+    assert '"orthonormality_residual": 0' in capsys.readouterr().out
+
+
 def test_coefficient_views_are_read_only():
     f = FourierFunction(1, 2, {(1,): 1.0})
     with pytest.raises(TypeError):
@@ -254,8 +313,32 @@ def test_orthonormality_suite_sees_a_broken_inner_product_or_monomial(monkeypatc
         monkeypatch.setattr(torus, "_parseval", parseval)
         # a cell map folding cells 2j and 2j + 1 together makes two monomials one
         monkeypatch.setattr(torus, "_cells", lambda *args, **kw: cells(*args, **kw) // 2 * 2)
-        assert monomial_orthonormality_residual(n, d) == 1.0
+        if n == 2:
+            assert monomial_orthonormality_residual(n, d) == 1.0
+        else:  # combinations, relative to the largest diagonal entry of R.R^H
+            assert monomial_orthonormality_residual(n, d) > 0.01
         monkeypatch.setattr(torus, "_cells", cells)
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (10, 4000), (100, 2000), (2456, 2457), (7, 4912)])
+def test_large_box_orthonormality_sees_one_merged_pair_of_cells(monkeypatch, pair):
+    # the all-ones combination sees a merge of any two cells, wherever they lie
+    cells = torus._cells
+    kept, merged = pair
+
+    def merging(*args, **kw):
+        out = cells(*args, **kw)
+        return np.where(out == merged, kept, out)
+
+    assert monomial_orthonormality_residual(3, 8) == 0.0
+    monkeypatch.setattr(torus, "_cells", merging)
+    assert monomial_orthonormality_residual(3, 8) > 0.0
+
+
+def test_large_box_orthonormality_sees_a_parseval_without_conjugation(monkeypatch):
+    # real rows cannot tell a @ b.T from a @ b^H; the combinations are complex
+    monkeypatch.setattr(torus, "_parseval", lambda a, b: a @ b.T)
+    assert monomial_orthonormality_residual(3, 4) > 0.1
 
 
 def test_completeness_suite_sees_a_broken_projection(monkeypatch):
