@@ -226,7 +226,7 @@ def run_decompose(args) -> dict:
             "id": s.id,
             "dim": s.dim,
             "eigenvalue": s.eigenvalue,
-            "first_support": first_support_index(s.projector),
+            "first_support": first_support_index(s.space.basis.T),
         }
         if args.emit_bases:
             row["basis"] = _complex_matrix_payload(s.space.basis)
@@ -474,11 +474,16 @@ def run_torus(args) -> dict:
 # -- entry point ---------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error takes the JSON error path; subparsers inherit it
+        raise SpecParseError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: parsing leaves it unchanged, and every
     build leaves a few hundred argparse objects in reference cycles."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ginvspaces",
         description="Verify minimal decompositions of finite transitive group actions "
         "and the truncated Fourier model of the torus.",
@@ -539,13 +544,10 @@ def _error_payload(exc: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    out = None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_PARSE
-
-    try:
+        args = build_parser().parse_args(argv)
+        out = args.out
         if args.cmd == "decompose":
             text = render_json(run_decompose(args)) + "\n"
         elif args.cmd == "survey":
@@ -553,17 +555,19 @@ def main(argv=None) -> int:
             text = survey_csv(payload) if args.format == "csv" else render_json(payload) + "\n"
         else:
             text = render_json(run_torus(args)) + "\n"
+    except SystemExit as exc:  # --help
+        return int(exc.code) if exc.code is not None else EXIT_PARSE
     except _PARSE_ERRORS as exc:
-        _emit(_error_payload(exc), args.out)
+        _emit(_error_payload(exc), out)
         return EXIT_PARSE
     except CapExceeded as exc:
-        _emit(_error_payload(exc), args.out)
+        _emit(_error_payload(exc), out)
         return EXIT_CAP
     except _INTERNAL_ERRORS as exc:
-        _emit(_error_payload(exc), args.out)
+        _emit(_error_payload(exc), out)
         return EXIT_INTERNAL
 
-    _emit(text, args.out)
+    _emit(text, out)
     return EXIT_OK
 
 

@@ -75,14 +75,14 @@ def verify_kernel_properties(
     at three seeded points via conjugated stabilizers.
     """
     k = family.matrix
-    p = space.projector
+    v = space.space.basis  # P X is computed as V (V^H X)
     n = action.n_points
     rng = np.random.default_rng(seed)
 
     symmetry = max_abs(k - k.conj().T)
 
     fs = rng.standard_normal((n, trials)) + 1j * rng.standard_normal((n, trials))
-    reproduction = max_abs(p @ fs - (k @ fs) / n)
+    reproduction = max_abs(v @ (v.conj().T @ fs) - (k @ fs) / n)
 
     equivariance = _commutator_residual(k, action)
 
@@ -94,7 +94,7 @@ def verify_kernel_properties(
     diagonal_dim_gap = float(max_abs(diag - dim)) if dim > 0 else float(max_abs(diag))
     diagonal_value = float(diag.real.mean()) if diag.size else 0.0
 
-    membership = max_abs(k - p @ k)
+    membership = max_abs(k - v @ (v.conj().T @ k))
 
     report = KernelPropertyReport(
         space_id=family.space_id,

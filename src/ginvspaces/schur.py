@@ -53,7 +53,8 @@ def group_average(a, src: MinimalSpace, dst: MinimalSpace, action: GroupAction) 
     n = action.n_points
     if a.ndim < 2 or a.shape[-2:] != (n, n):
         raise ValueError("operator shape does not match the point count")
-    return _orbital_mean(dst.projector @ a @ src.projector, action)
+    vd, vs = dst.space.basis, src.space.basis
+    return _orbital_mean(vd @ (vd.conj().T @ a @ vs) @ vs.conj().T, action)
 
 
 def classify_intertwiner(

@@ -109,6 +109,30 @@ def test_parse_error_exit_code(capsys):
     assert json.loads(out)["error"]["type"] == "SpecParseError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose",),
+        ("frobnicate", "--group", "cyclic:3"),
+        ("decompose", "--group", "cyclic:3", "--action", "weird"),
+        ("torus", "--n", "x"),
+        ("torus", "--degree", "2", "--monomials", "-1:1"),
+    ],
+    ids=["missing-group", "unknown-subcommand", "bad-choice", "non-int", "option-like-value"],
+)
+def test_usage_errors_give_a_json_parse_error(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_PARSE
+    assert json.loads(captured.out)["error"]["type"] == "SpecParseError"
+    assert captured.err == ""
+
+
+def test_help_still_exits_0(capsys):
+    assert main(["decompose", "--help"]) == EXIT_OK
+    assert "--group" in capsys.readouterr().out
+
+
 def test_intransitive_spec_rejected(capsys):
     code, out = run(
         capsys, "decompose", "--group", '{"points": 3, "generators": [[1, 0, 2]]}'
@@ -522,3 +546,94 @@ def test_torus_argvs_give_a_report_or_a_json_error(drawn):
     else:
         assert code == EXIT_PARSE
         assert payload["error"]["type"] in ("SpecParseError", "DimensionMismatch")
+
+
+@pytest.mark.parametrize(
+    "spec, k", [("regular:symmetric:3", 4), ("dihedral:6", 4), ("regular:cyclic:12", 12)]
+)
+def test_decompose_reads_each_projector_once(monkeypatch, capsys, spec, k):
+    # the kernel K = nP is the one reader; every other check works on the basis
+    reads = []
+    built = decomposition.MinimalSpace.projector.fget
+    monkeypatch.setattr(
+        decomposition.MinimalSpace, "projector", property(lambda s: reads.append(s.id) or built(s))
+    )
+    code, out = run(capsys, "decompose", "--group", spec, "--schur-trials", "2",
+                    "--structure-trials", "2")
+    assert code == EXIT_OK
+    assert json.loads(out)["decomposition"]["n_spaces"] == k
+    assert sorted(reads) == list(range(k))
+
+
+# natural and regular actions of these have at most 8 points
+_SMALL_GROUPS = (
+    [f"cyclic:{n}" for n in range(1, 9)]
+    + ["dihedral:3", "dihedral:4", "symmetric:2", "symmetric:3"]
+    + ["regular:cyclic:4", "regular:dihedral:3", '{"points": 4, "generators": [[1, 2, 3, 0]]}']
+)
+_BAD_SPECS = ["frieze:7", "cyclic:", "cyclic:x", "cyclic:0", "dihedral:2", "symmetric:-1", "{",
+              '{"points": 2}', '{"points": 3, "generators": [[1, 0, 2]]}', "regular:",
+              "cyclic:99999999999999999999"]
+_SMALL_RANGES = ["cyclic:1..4", "cyclic:6", "dihedral:3..4", "symmetric:2..3", "cyclic:8..8"]
+_BAD_RANGES = ["cyclic:4..2", "cyclic", "x:3", "cyclic:a..b", "dihedral:2", "symmetric:0", "",
+               "-3", "cyclic:1..x"]
+
+
+def _flag(name, valid, garbage):
+    """`[name, value]`, a value mostly drawn from `valid`, or no flag at all."""
+    value = _maybe_garbage(valid.map(str), garbage)
+    return st.none() | value.map(lambda v: [name, v])
+
+
+@st.composite
+def group_argvs(draw):
+    """A decompose or survey argv on groups of at most 8 points, with garbage
+    specs, ranges and flag values, --tol down past the rounding floor, and
+    negative trial counts."""
+    command = draw(st.sampled_from(["decompose", "survey"]))
+    if command == "decompose":
+        argv = ["decompose", "--group", draw(_maybe_garbage(st.sampled_from(_SMALL_GROUPS),
+                                                            _BAD_SPECS))]
+        trials = st.integers(0, 2)
+        flags = [_flag("--schur-trials", trials, ["-1", "x", "1.5"]),
+                 _flag("--structure-trials", trials, ["-3", "x"])]
+        argv += ["--schur-trials", "1", "--structure-trials", "1"]  # a drawn flag comes later
+    else:
+        ranges = _maybe_garbage(st.sampled_from(_SMALL_RANGES), _BAD_RANGES)
+        argv = ["survey", *draw(st.lists(ranges, min_size=1, max_size=2))]
+        flags = [_flag("--format", st.sampled_from(["json", "csv"]), ["xml"])]
+    flags += [
+        _flag("--action", st.sampled_from(["natural", "regular"]), ["weird"]),
+        _flag("--tol", st.sampled_from([1e-9, 1e-6, 1e-3, 1e-12, 1e-14, 1e-15, 1e-16]),
+              ["0", "-1", "1", "nan", "inf", "x", "1e-400"]),
+        _flag("--seed", st.integers(0, 5), ["-1", "x"]),
+        _flag("--max-group-order", st.just(20000), ["0", "1", "5", "x"]),
+    ]
+    for flag in flags:
+        argv += draw(flag) or []
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(group_argvs())
+def test_group_argvs_give_a_report_or_a_json_error(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    text = out.getvalue()
+    if code != EXIT_OK:
+        assert code in (EXIT_PARSE, EXIT_CAP, EXIT_INTERNAL)
+        assert json.loads(text)["error"]["type"]
+    elif text.startswith("family,"):
+        assert argv[0] == "survey" and len(text.splitlines()) > 1
+    else:
+        payload = json.loads(text)
+        params = payload["params"]
+        assert params["seed"] >= 0 and 0 < params["tol"] < 1
+        if argv[0] == "decompose":
+            points = payload["group"]["points"]
+            assert points <= 8 and sum(payload["decomposition"]["dims"]) == points
+            assert params["tol"] >= 16 * points * np.finfo(float).eps
+            assert min(params["schur_trials"], params["structure_trials"]) >= 0
+        else:
+            assert payload["rows"] and all(r["points"] <= 8 for r in payload["rows"])

@@ -484,6 +484,7 @@ def test_canonical_order_matches_full_projector_comparator(spec):
     for seed in (42, 1000):
         spaces = minimal_decomposition(action, seed=seed)
         assert all(first_support_index(s.projector) == 0 for s in spaces)
+        assert all(first_support_index(s.space.basis.T) == 0 for s in spaces)
         resorted = sorted(spaces, key=functools.cmp_to_key(compare_full_projectors))
         assert [s.id for s in resorted] == list(range(len(spaces)))
 
@@ -514,6 +515,60 @@ def test_multiplicity_free_matches_pairwise_commutators(p_images, q_images):
 def test_multiplicity_free_matches_pairwise_commutators_regular(spec):
     action = group_from_spec(spec)
     assert multiplicity_free(action) == multiplicity_free_pairwise(action)
+
+
+def multiplicity_free_by_histogram(action):
+    """Oracle: row 0 of A_i A_j counts, for each y, the points z with (0, z) in
+    orbital i and (z, y) in orbital j; one (r, r, n) histogram of label triples,
+    symmetric in (i, j) exactly when the orbital algebra commutes."""
+    labels = action.orbital_labels
+    n = action.n_points
+    r = int(labels.max()) + 1
+    triples = (labels[0][:, None] * r + labels) * n + np.arange(n)
+    products = np.bincount(triples.ravel(), minlength=r * r * n).reshape(r, r, n)
+    return bool(np.array_equal(products, products.transpose(1, 0, 2)))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    sorted(
+        set(BATTERY)
+        | {f"dihedral:{n}" for n in range(3, 13)}
+        | {f"symmetric:{n}" for n in range(3, 8)}
+        | {"s6-pairs", "regular:dihedral:4", "regular:dihedral:12", "regular:cyclic:48",
+           "regular:cyclic:60", "regular:dihedral:30", "regular:symmetric:5",
+           "regular:dihedral:60", "regular:cyclic:120"}
+    ),
+)
+def test_multiplicity_free_matches_the_histogram_and_burnside_counts_the_labels(perfbench, spec):
+    if spec == "s6-pairs":
+        spec = perfbench.workloads.s6_on_pairs(1000)
+    action = group_from_spec(spec)
+    assert multiplicity_free(action) == multiplicity_free_by_histogram(action)
+    # Burnside on X x X: the orbitals number sum_g fix(g)^2 / |G|
+    fixed = np.count_nonzero(action.images == np.arange(action.n_points), axis=1)
+    assert np.sum(fixed**2) == action.order * (int(action.orbital_labels.max()) + 1)
+
+
+def test_multiplicity_verdict_allocates_no_label_histogram():
+    # the (r, r, n) histogram is 14 MB here; two n x n int64 draws are 0.2 MB
+    action = group_from_spec("regular:cyclic:120")
+    action.orbital_labels
+    tracemalloc.start()
+    try:
+        assert multiplicity_free(action)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("spec", ["cyclic:7", "dihedral:6", "symmetric:4", "regular:symmetric:3",
+                                  "regular:cyclic:12"])
+def test_reported_equivariance_is_bitwise_the_projector_oracle(spec):
+    action = group_from_spec(spec)
+    report = build_report(action, seed=42)
+    assert report.equivariance_residual == equivariance_residual(report.spaces, action)
 
 
 def corrupted(space, vector):

@@ -9,7 +9,7 @@ from ginvspaces.kernels import (
     kernel_family,
     verify_kernel_properties,
 )
-from ginvspaces.linalg import Subspace, max_abs, orthonormalize, subspace_equal
+from ginvspaces.linalg import Subspace, max_abs, orthonormalize, projector, subspace_equal
 from ginvspaces.perm_action import (
     GroupAction,
     cyclic_generators,
@@ -122,6 +122,25 @@ def test_property_violation_raised_for_corrupted_family():
     assert err.value.residual > 1e-9
 
 
+def test_family_with_a_column_outside_the_space_violates_membership():
+    # C4 acts regularly, so every stabilizer is trivial; without generators and
+    # random trials the only check a Hermitian change with an unchanged diagonal
+    # can fail is membership. e = (1, 0, 1, 0) is orthogonal to the character
+    # (1, i, -1, -i) / 2, and column 1 of K becomes nP[:, 1] + e.
+    c4 = enumerate_group(cyclic_generators(4))
+    space = MinimalSpace(id=0, space=orthonormalize(np.array([[1], [1j], [-1], [-1j]])),
+                         eigenvalue=0.0)
+    k = kernel_family(space, 4).matrix.copy()
+    e = np.array([1.0, 0.0, 1.0, 0.0])
+    k[:, 1] += e
+    k[1, :] += e
+    unpresented = GroupAction(4, [], c4.images)
+    with pytest.raises(PropertyViolation) as err:
+        verify_kernel_properties(KernelFamily(0, k), space, unpresented, trials=0)
+    assert err.value.prop == "membership"
+    assert err.value.residual == pytest.approx(max_abs(k - projector(space.space) @ k))
+
+
 def test_kernel_family_shape_mismatch():
     _, spaces = decompose(symmetric_generators(3))
     with pytest.raises(ValueError):
@@ -158,23 +177,18 @@ def test_gathered_stabilizer_residual_matches_composed_permutations(spec, seed):
 
 
 def test_kernel_broken_only_away_from_point_0_violates_stabilizer_fixity():
+    # u = (2, 1, 1, 1) / sqrt 7 spans a genuine space, not an invariant one:
+    # column 0 of K = 4 u u^H is fixed by the stabilizer of 0, so only the
+    # conjugated stabilizers at the drawn points 1..3 see it (4/7 off)
     s4 = enumerate_group(symmetric_generators(4))
-    space = next(s for s in minimal_decomposition(s4, seed=42) if s.dim == 3)
-    k = 4 * space.projector.copy()
-    # a Hermitian change between points 2 and 3 leaves column 0, and so the
-    # check with the stabilizer of 0, untouched; all of 1..3 are drawn as x
-    k[2, 3] += 1e-3
-    k[3, 2] += 1e-3
+    space = MinimalSpace(id=0, space=orthonormalize(np.array([[2.0], [1.0], [1.0], [1.0]])),
+                         eigenvalue=0.0)
+    k = kernel_family(space, 4).matrix
     members = stabilizer(s4, 0).members
     assert max_abs(k[:, 0][s4.images[list(members)]] - k[:, 0]) <= 1e-12
     # no generators, so the equivariance check that would also see it is empty
     unpresented = GroupAction(4, [], s4.images)
-
-    class BrokenSpace(MinimalSpace):
-        projector = k / 4  # consistent with the broken kernel, not with the basis
-
-    broken = BrokenSpace(id=space.id, space=space.space, eigenvalue=0.0)
     with pytest.raises(PropertyViolation) as err:
-        verify_kernel_properties(KernelFamily(space.id, k), broken, unpresented, seed=5)
+        verify_kernel_properties(KernelFamily(space.id, k), space, unpresented, seed=5)
     assert err.value.prop == "4-stabilizer-fix"
-    assert err.value.residual == pytest.approx(1e-3)
+    assert err.value.residual == pytest.approx(4 / 7)
