@@ -10,7 +10,7 @@ class InvalidPermutation(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """Group closure grew past the configured element cap."""
+    """A group closure or a work array would grow past its cap."""
 
 
 class NotTransitive(ValueError):

@@ -1,8 +1,9 @@
 """Invariant subspaces as direct sums of minimal spaces.
 
 Any collection of vectors generates a smallest invariant subspace (its orbit
-span); its signature is the set of minimal spaces it meets, and the structure
-verification asserts that the subspace equals the direct sum over its
+span, the range of the orbital mean of v v^H: the Reynolds operator, with no
+sum over the group); its signature is the set of minimal spaces it meets, and
+the structure verification asserts that it equals the direct sum over its
 signature. When two minimal spaces are isomorphic the equality can fail, and
 the twisted-diagonal construction produces a deliberate witness of that.
 Signatures are blocks of W^H V_y for the stacked basis W = [V_1 ... V_k],
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import character_gram, multiplicity_free
+from .decomposition import _commutator_residual, _orbital_mean, character_gram, multiplicity_free
 from .errors import InternalInconsistency, StructureFailure
 from .linalg import DEFAULT_TOL, Subspace, block_max_abs, max_abs, orthonormalize, projector
 from .linalg import stacked_bases, subspace_equal
@@ -58,23 +59,22 @@ class StructureReport:
 
 
 def orbit_span(vectors, action: GroupAction, tol: float = DEFAULT_TOL) -> Subspace:
-    """Smallest invariant subspace containing the given columns."""
+    """Smallest invariant subspace containing the given columns; transitive actions only.
+
+    It is the range of sum_g L_g v v^H L_g^H, |G| times the orbital mean of v v^H,
+    whose eigenvalues are the squared singular values of the translates over |G|.
+    Eigenvectors above tol times the largest are kept (scale-free; v = 0 spans nothing).
+    """
     v = np.asarray(vectors, dtype=complex)
     if v.ndim == 1:
         v = v[:, None]
     n = action.n_points
     if v.shape[0] != n:
         raise ValueError("vectors do not match the point count")
-    if v.shape[1] == 0:
-        return Subspace(n, np.zeros((n, 0), dtype=complex), tol)
-    translated = v[action.images]  # (order, n, m): row g holds columns L_g v
-    stacked = np.transpose(translated, (1, 0, 2)).reshape(n, -1)
-    sub = orthonormalize(stacked, tol)
-    p = projector(sub)
-    for g in action.generators:
-        lp = p[g.images, :]
-        if max_abs(lp - p @ lp) > tol:
-            raise InternalInconsistency("orbit span is not invariant")
+    w, u = np.linalg.eigh(_orbital_mean(v @ v.conj().T, action))
+    sub = Subspace(n, u[:, w > tol * w[-1]], tol)
+    if _commutator_residual(projector(sub), action) > tol:
+        raise InternalInconsistency("orbit span is not invariant")
     return sub
 
 

@@ -18,8 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomposition import MinimalSpace, _orbital_mean
+from .errors import CapExceeded
 from .linalg import DEFAULT_TOL, block_max_abs, max_abs, stacked_bases, subspace_equal
 from .perm_action import GroupAction
+
+# Bytes of complex draws one dichotomy_trials call may hold: regular symmetric:6
+# (n = 720) at the default 100 trials needs 0.83 GB.
+DRAW_BYTES_CAP = 2**30
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,17 @@ def _compressed_classes(action: GroupAction, spaces, draws: np.ndarray, tol: flo
     return kinds, residuals
 
 
+def _require_draw_budget(trials: int, n: int) -> None:
+    """CapExceeded, before anything is drawn, when the (trials, n, n) complex
+    draws of `dichotomy_trials` would pass DRAW_BYTES_CAP."""
+    draw_bytes = trials * n * n * 16
+    if draw_bytes > DRAW_BYTES_CAP:
+        raise CapExceeded(
+            f"{trials} Schur trials on {n} points draw {draw_bytes:.3e} bytes, "
+            f"past the cap of {DRAW_BYTES_CAP:.3e}"
+        )
+
+
 def dichotomy_trials(
     action: GroupAction,
     spaces,
@@ -101,8 +117,9 @@ def dichotomy_trials(
     tol: float = DEFAULT_TOL,
 ) -> SchurSummary:
     """Classify group averages of one seeded random operator per trial, for every pair."""
-    rng = np.random.default_rng(seed)
     n = action.n_points
+    _require_draw_budget(trials, n)
+    rng = np.random.default_rng(seed)
     draws = rng.standard_normal((trials, n, n)) + 1j * rng.standard_normal((trials, n, n))
     kinds, residuals = _compressed_classes(action, spaces, draws, tol)
     on_diag = np.eye(len(spaces), dtype=bool)

@@ -357,6 +357,15 @@ def test_family_larger_than_the_cap_exits_before_enumerating(capsys, family):
     assert json.loads(out)["error"]["type"] == "CapExceeded"
 
 
+def test_huge_schur_trial_count_exits_with_the_estimate(capsys):
+    # refused by the size estimate before the (trials, n, n) draws exist
+    code, out = run(capsys, "decompose", "--group", "cyclic:3", "--schur-trials", "99999999999999")
+    assert code == EXIT_CAP
+    error = json.loads(out)["error"]
+    assert error["type"] == "CapExceeded"
+    assert "1.440e+16 bytes" in error["message"]
+
+
 TORUS_SUITES = (
     "monomial_orthonormality_residual",
     "unitarity_residual",

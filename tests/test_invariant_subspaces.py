@@ -5,7 +5,7 @@ import pytest
 
 from ginvspaces import invariant_subspaces
 from ginvspaces.decomposition import minimal_decomposition, multiplicity_free
-from ginvspaces.errors import InternalInconsistency, StructureFailure
+from ginvspaces.errors import InternalInconsistency, NotTransitive, StructureFailure
 from ginvspaces.invariant_subspaces import (
     SignatureSet,
     direct_sum,
@@ -64,6 +64,12 @@ def test_orbit_span_empty_input():
     assert y.rank == 0
 
 
+@pytest.mark.parametrize("shape", [(3,), (3, 2)])
+def test_orbit_span_of_zero_vectors_is_empty(shape):
+    action, _ = decompose(cyclic_generators(3))
+    assert orbit_span(np.zeros(shape, dtype=complex), action).rank == 0
+
+
 def test_orbit_span_is_invariant():
     action, _ = decompose(dihedral_generators(5))
     rng = np.random.default_rng(31)
@@ -72,6 +78,70 @@ def test_orbit_span_is_invariant():
     p = projector(y)
     for g in action.generators:
         assert max_abs(p[g.images, :] - p @ p[g.images, :]) <= 1e-9
+
+
+def svd_orbit_span(v, action, tol=1e-9):
+    """Oracle: the thin SVD of the n x |G|m matrix of translates L_g v."""
+    v = np.asarray(v, dtype=complex).reshape(action.n_points, -1)
+    return orthonormalize(np.transpose(v[action.images], (1, 0, 2)).reshape(action.n_points, -1), tol)
+
+
+ORACLE_SPECS = [
+    "symmetric:5", "symmetric:6", "symmetric:7", "s6-pairs", "regular:cyclic:12",
+    "regular:cyclic:48", "regular:cyclic:60", "regular:dihedral:8", "regular:dihedral:12",
+    "regular:dihedral:30", "regular:symmetric:3", "regular:symmetric:4",
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS)
+def test_orbit_span_matches_the_svd_of_all_translates(perfbench, spec):
+    if spec == "s6-pairs":
+        spec = perfbench.workloads.s6_on_pairs(1000)
+    action = group_from_spec(spec)
+    spaces = minimal_decomposition(action, seed=42)
+    n = action.n_points
+    rng = np.random.default_rng(17)
+    proper = 0
+    for m in (1, 2, 3):
+        gaussian = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        # inside a seeded direct sum, so spans can fall short of the whole space
+        picked = [s.id for s in spaces if rng.random() < 0.5] or [spaces[-1].id]
+        inside = direct_sum(picked, spaces)
+        mix = rng.standard_normal((inside.rank, m)) + 1j * rng.standard_normal((inside.rank, m))
+        for v in (gaussian, inside.basis @ mix):
+            y, oracle = orbit_span(v, action), svd_orbit_span(v, action)
+            assert y.rank == oracle.rank
+            assert max_abs(projector(y) - projector(oracle)) <= 1e-12
+            proper += y.rank < n
+    assert proper >= 3
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e8])
+def test_orbit_span_rank_rule_is_scale_free(scale):
+    action = group_from_spec("regular:symmetric:3")
+    spaces = minimal_decomposition(action, seed=42)
+    v = direct_sum([0, 3], spaces).basis @ np.array([[1.0], [2.0], [0.5j]])
+    assert subspace_equal(orbit_span(scale * v, action), orbit_span(v, action))
+    assert orbit_span(v, action).rank < 6
+
+
+def test_orbit_span_needs_a_transitive_action():
+    action = enumerate_group([[1, 0, 2, 3], [0, 1, 3, 2]])
+    with pytest.raises(NotTransitive):
+        orbit_span(np.ones(4), action)
+
+
+def test_orbit_span_guard_catches_labels_of_another_action():
+    # the orbital labels of a relabelled copy average v v^H over the wrong
+    # orbitals, so the span is invariant under the copy but not the action
+    action = enumerate_group(cyclic_generators(5))
+    relabel = np.array([0, 2, 1, 3, 4])
+    copy = enumerate_group([relabel[g.images[relabel]] for g in action.generators])
+    v = minimal_decomposition(copy, seed=42)[1].space.basis
+    assert orbit_span(v, copy).rank == 1
+    action.__dict__["orbital_labels"] = copy.orbital_labels
+    with pytest.raises(InternalInconsistency, match="orbit span is not invariant"):
+        orbit_span(v, action)
 
 
 def test_signature_of_minimal_space_is_singleton():

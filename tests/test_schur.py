@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from ginvspaces.decomposition import minimal_decomposition, multiplicity_free, rep_operators
+from ginvspaces.errors import CapExceeded
 from ginvspaces.linalg import max_abs
 from ginvspaces.perm_action import (
     cyclic_generators,
@@ -11,7 +14,9 @@ from ginvspaces.perm_action import (
     symmetric_generators,
 )
 from ginvspaces.schur import (
+    DRAW_BYTES_CAP,
     _compressed_classes,
+    _require_draw_budget,
     classify_intertwiner,
     dichotomy_trials,
     group_average,
@@ -175,3 +180,12 @@ def test_compressed_dichotomy_matches_classify_per_trial_and_pair(spec):
     )
     # violations are exactly the nonzero averages between isomorphic spaces
     assert (summary.violation_count == 0) == multiplicity_free(action)
+
+
+def test_draw_budget_admits_regular_symmetric_6_at_default_trials():
+    # estimator only: nothing is drawn, so no stack near the cap is allocated
+    _require_draw_budget(100, 720)
+    most = DRAW_BYTES_CAP // (720 * 720 * 16)
+    _require_draw_budget(most, 720)
+    with pytest.raises(CapExceeded, match=re.escape(f"{(most + 1) * 720 * 720 * 16:.3e} bytes")):
+        _require_draw_budget(most + 1, 720)
