@@ -4,7 +4,9 @@ A function of n <= 3 variables is one complex array over the degree box
 |k|_inf <= d, holding the coefficient of z**k at k + d. Rotations, Fejer
 smoothing and projections act cell-wise on it and inner products are Parseval
 sums (normalized measure), so every verified identity is about coefficients.
-Separation from a span of monomials evaluates the annihilating functional.
+Separation from a span of monomials evaluates the annihilating functional; its
+pairings contract the cell axis, so a stack of spans meets a stack of functions
+in a few matmuls.
 """
 
 from __future__ import annotations
@@ -191,15 +193,25 @@ def polydisc_signature(f: FourierFunction) -> bool:
 
 def annihilating_functional(omega: np.ndarray, g: np.ndarray) -> tuple:
     """Evaluate the functional separating g from the span of the monomials at the
-    cells omega masks (omega and g broadcast, flat box cells on axis 0): pairing
-    against g's component outside the span, scaled to pair to 1 with g (zero when
-    g lies in the span). Returns (vanishes on every omega monomial, value on g)."""
-    outside = np.where(omega, 0, g)
-    norm_sq = (outside * outside.conj()).real.sum(axis=0)
-    functional = outside / np.where(norm_sq > 0, norm_sq, 1.0)
-    # its value on the monomial at cell k is the conjugated entry at k
-    vanishes = ~np.any(omega & (functional != 0), axis=0)
-    return vanishes, (g * functional.conj()).sum(axis=0)
+    cells omega masks. omega holds one mask per span and g one function per column,
+    flat box cells on axis 0 of both: (cells, spans) and (cells, functions), or 1-D
+    for a single one. The functional of span i and function j pairs h against g's
+    component outside the span, phi(h) = sum_c h_c conj(keep_ci g_cj) / N_ij with
+    keep = ~omega and N_ij its squared norm, so it pairs to 1 with g (to zero when g
+    lies in the span). Each pairing contracts the cell axis with one matmul, so no
+    (cells, spans, functions) array is formed. Returns (phi vanishes on every
+    monomial of the span, phi(g)), shaped (spans, functions) minus the 1-D axes."""
+    shape = np.shape(omega)[1:] + np.shape(g)[1:]
+    inside = np.reshape(omega, (len(omega), -1)).astype(bool).astype(float)  # 0/1
+    g = np.reshape(g, (len(g), -1))
+    keep = 1.0 - inside
+    squares = g * g.conj()
+    norm_sq = keep.T @ squares.real
+    value = (keep.T @ squares) / np.where(norm_sq > 0, norm_sq, 1.0)
+    # phi at the monomial of cell c is conj(keep_ci g_cj) / N_ij: count the span's
+    # monomials where it is nonzero
+    leaks = (inside * keep).T @ (g != 0).astype(float)
+    return (leaks == 0).reshape(shape)[()], value.reshape(shape)[()]
 
 
 def separation_check(omega, g: FourierFunction) -> bool:
@@ -220,20 +232,21 @@ def box_indices(n: int, degree: int) -> list:
 
 
 def random_function(n: int, degree: int, rng, max_terms: int = 12) -> FourierFunction:
-    """Seeded random function with at least one nonconstant supported index;
-    a cell drawn twice keeps the last of its complex normal draws."""
+    """Seeded random function; a cell drawn twice keeps the last of its complex
+    normal draws. At degree >= 1 at least one supported index is nonconstant; the
+    degree-0 box holds only the constant."""
     size = (2 * degree + 1) ** n
     origin = size // 2
     m = int(rng.integers(1, min(max_terms, size) + 1))
     first = int(rng.integers(max(size - 1, 1)))  # a draw over the cells but the origin's
     if 0 < origin <= first:
         first += 1
-    cells = np.concatenate([[first], rng.integers(0, size, size=m)])
-    parts = rng.standard_normal((m + 1, 2))  # (real, imag) of each coefficient
-    values = parts[:, 0] + 1j * parts[:, 1]
-    last_draws = m - np.unique(cells[::-1], return_index=True)[1]
-    shape = (2 * degree + 1,) * n
-    return FourierFunction._of(_summed(cells[last_draws], values[last_draws], shape))
+    cells = [first, *rng.integers(0, size, size=m).tolist()]
+    parts = rng.standard_normal((m + 1, 2)).tolist()  # (real, imag) of each coefficient
+    flat = np.zeros(size, dtype=complex)
+    for cell, (re, im) in zip(cells, parts):  # in draw order, so the last draw wins
+        flat[cell] = complex(re, im)
+    return FourierFunction._of(flat.reshape((2 * degree + 1,) * n))
 
 
 def random_point(n: int, rng) -> TorusPoint:
@@ -282,19 +295,29 @@ def fejer_monotonicity(
     """Smoothing error profiles on seeded random functions. Returns (profiles,
     monotone): monotone means no step increases and the last error is strictly
     below the first. Steps tie exactly while both kernel degrees annihilate every
-    supported frequency, then decrease strictly."""
+    supported frequency, then decrease strictly. At degree 0 every function is
+    constant and every kernel keeps it as it is, so its errors must all be 0."""
     rng = np.random.default_rng(seed)
     drawn = [random_function(n, degree, rng) for _ in range(functions)]
     profiles = [[(f - fejer_smooth(f, d)).norm2() for d in degrees] for f in drawn]
-    steady = [all(b <= a for a, b in zip(e, e[1:])) and e[-1] < e[0] for e in profiles]
+    steady = [
+        all(b <= a for a, b in zip(e, e[1:])) and (e[0] == 0 if degree == 0 else e[-1] < e[0])
+        for e in profiles
+    ]
     return profiles, all(steady)
+
+
+def _folded_cells(n: int, degree: int) -> np.ndarray:
+    """Flat cell of |k| for each cell k of the box in C order: folding k -> |k|
+    sends each coefficient into the nonnegative orthant."""
+    box = (2 * degree + 1,) * n
+    return np.ravel_multi_index(tuple(np.abs(np.indices(box) - degree) + degree), box).ravel()
 
 
 def polydisc_rotation_trials(n: int, degree: int, trials: int = 100, seed: int = 0):
     """Rotations must preserve the support, hence the nonnegative-support class."""
     rng = np.random.default_rng(seed)
-    # folding k -> |k| sends each coefficient into the nonnegative orthant
-    fold = _cells([tuple(map(abs, k)) for k in box_indices(n, degree)], n, degree)
+    fold = _folded_cells(n, degree)
     preserved = True
     for _ in range(trials):
         f = random_function(n, degree, rng)
@@ -321,7 +344,7 @@ def smoothing_commutes_residual(n: int, degree: int, trials: int = 25, seed: int
 def completeness_residual_model(n: int, degree: int, trials: int = 25, seed: int = 0) -> float:
     """Summing the single-index projections over the box reconstructs f."""
     rng = np.random.default_rng(seed)
-    cells = _cells(box_indices(n, degree), n, degree)
+    cells = np.arange((2 * degree + 1) ** n)  # the whole box, in C order
     worst = 0.0
     for _ in range(trials):
         f = random_function(n, degree, rng)
@@ -337,12 +360,11 @@ def separation_scan_1d(degree: int = 4):
     subsets = np.arange(2**nb)
     masks = ((subsets >> np.arange(nb)[:, None]) & 1) == 1  # bit b: multi-index b - degree
     pairs = mismatches = 0
-    for start in range(1, 2**nb, 4):  # 4 supports g per block keep its arrays small
-        g_sets = subsets[start : start + 4]
-        g = masks[:, g_sets, None].astype(float)
-        vanishes, value = annihilating_functional(masks[:, None, :], g)
-        separated = vanishes & (value.real >= 0.5)
-        expected = (g_sets[:, None] & ~subsets[None, :]) != 0
+    for start in range(1, 2**nb, 32):  # 32 supports g per block keep its arrays small
+        g_sets = subsets[start : start + 32]
+        vanishes, value = annihilating_functional(masks, masks[:, g_sets].astype(float))
+        separated = vanishes & (value.real >= 0.5)  # (spans, supports)
+        expected = (g_sets[None, :] & ~subsets[:, None]) != 0
         mismatches += int(np.count_nonzero(separated != expected))
         pairs += separated.size
     return pairs, mismatches

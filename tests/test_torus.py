@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -447,3 +449,196 @@ def test_rotation_roundtrip_and_fejer_support(coeffs, angle):
         )
     smoothed = fejer_smooth(f, 3)
     assert set(smoothed.coeffs) <= set(f.coeffs)
+
+
+# -- oracles: the broadcast functional, the np.unique draw and the tuple-built fold
+
+
+def broadcast_functional(omega, g):
+    """The functional as one broadcast of omega against g over the cell axis 0."""
+    outside = np.where(omega, 0, g)
+    norm_sq = (outside * outside.conj()).real.sum(axis=0)
+    functional = outside / np.where(norm_sq > 0, norm_sq, 1.0)
+    # its value on the monomial at cell k is the conjugated entry at k
+    vanishes = ~np.any(omega & (functional != 0), axis=0)
+    return vanishes, (g * functional.conj()).sum(axis=0)
+
+
+def broadcast_oracle(omega, g):
+    """broadcast_functional on (cells, spans) and (cells, functions) stacks, or 1-D."""
+    omega, g = np.asarray(omega), np.asarray(g)
+    spans = omega.reshape(omega.shape + (1,) * (g.ndim - 1))
+    functions = g.reshape(g.shape[:1] + (1,) * (omega.ndim - 1) + g.shape[1:])
+    return broadcast_functional(spans, functions)
+
+
+def broadcast_scan(degree):
+    """The separation scan in blocks of 4 supports through broadcast_functional."""
+    nb = 2 * degree + 1
+    subsets = np.arange(2**nb)
+    masks = ((subsets >> np.arange(nb)[:, None]) & 1) == 1
+    pairs = mismatches = 0
+    for start in range(1, 2**nb, 4):
+        g_sets = subsets[start : start + 4]
+        g = masks[:, g_sets, None].astype(float)
+        vanishes, value = broadcast_functional(masks[:, None, :], g)
+        separated = vanishes & (value.real >= 0.5)
+        expected = (g_sets[:, None] & ~subsets[None, :]) != 0
+        mismatches += int(np.count_nonzero(separated != expected))
+        pairs += separated.size
+    return pairs, mismatches
+
+
+def unique_draw(n, degree, rng, max_terms=12):
+    """random_function with the last draw of each cell picked by np.unique."""
+    size = (2 * degree + 1) ** n
+    origin = size // 2
+    m = int(rng.integers(1, min(max_terms, size) + 1))
+    first = int(rng.integers(max(size - 1, 1)))
+    if 0 < origin <= first:
+        first += 1
+    cells = np.concatenate([[first], rng.integers(0, size, size=m)])
+    parts = rng.standard_normal((m + 1, 2))
+    values = parts[:, 0] + 1j * parts[:, 1]
+    last_draws = m - np.unique(cells[::-1], return_index=True)[1]
+    flat = np.zeros(size, dtype=complex)
+    np.add.at(flat, cells[last_draws], values[last_draws])
+    return FourierFunction._of(flat.reshape((2 * degree + 1,) * n))
+
+
+def tuple_fold(n, degree):
+    """The cells of k -> |k| built from the multi-index tuples of the box."""
+    return torus._cells([tuple(map(abs, k)) for k in box_indices(n, degree)], n, degree)
+
+
+def test_contracted_functional_matches_the_broadcast_one():
+    rng = np.random.default_rng(31)
+    for cells, spans, functions in ((9, 40, 7), (25, 16, 5), (1, 3, 2)):
+        omega = rng.random((cells, spans)) < 0.5
+        real = rng.standard_normal((cells, functions)) * (rng.random((cells, functions)) < 0.6)
+        for g in (real, real * np.exp(2j * np.pi * rng.random((cells, functions)))):
+            vanishes, value = annihilating_functional(omega, g)
+            expected_vanishes, expected_value = broadcast_oracle(omega, g)
+            assert vanishes.shape == value.shape == (spans, functions)
+            assert np.array_equal(vanishes, expected_vanishes)
+            assert value.dtype == expected_value.dtype
+            np.testing.assert_allclose(value, expected_value, rtol=0, atol=8 * np.finfo(float).eps)
+            # one span against the stack, and the stack against one function
+            for args in ((omega[:, 0], g), (omega, g[:, 0]), (omega[:, 0], g[:, 0])):
+                got, want = annihilating_functional(*args), broadcast_oracle(*args)
+                assert np.shape(got[0]) == np.shape(want[0])
+                assert np.array_equal(got[0], want[0])
+                np.testing.assert_allclose(got[1], want[1], rtol=0, atol=8 * np.finfo(float).eps)
+
+
+def test_contracted_functional_on_one_span_and_function_returns_scalars():
+    g = FourierFunction(1, 3, {(0,): 1.0, (1,): -2j, (2,): 2.0 - 1.0j, (-3,): 0.5}).array
+    for cells in ([3, 4], [0, 3, 4, 5], []):  # [0, 3, 4, 5] holds the whole support
+        omega = np.zeros(7, dtype=bool)
+        omega[cells] = True
+        vanishes, value = annihilating_functional(omega, g)
+        expected_vanishes, expected_value = broadcast_functional(omega, g)
+        assert type(vanishes) is type(expected_vanishes) is np.bool_
+        assert type(value) is type(expected_value) is np.complex128
+        assert vanishes == expected_vanishes
+        assert value == pytest.approx(expected_value, abs=8 * np.finfo(float).eps)
+    assert value == pytest.approx(1.0) and annihilating_functional(g != 0, g)[1] == 0
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_separation_scan_matches_the_broadcast_scan(degree):
+    subsets = 2 ** (2 * degree + 1)
+    assert separation_scan_1d(degree) == broadcast_scan(degree) == ((subsets - 1) * subsets, 0)
+
+
+def keeping_inside(omega, g):
+    """A functional pairing against all of g, its component inside the span included."""
+    functional = g / (g * g.conj()).real.sum(axis=0)
+    vanishes = (omega.astype(float).T @ (functional != 0)) == 0
+    return vanishes, np.broadcast_to((g * functional.conj()).sum(axis=0), vanishes.shape)
+
+
+def scaled_value(omega, g):
+    vanishes, value = annihilating_functional(omega, g)
+    return vanishes, 0.4 * value
+
+
+@pytest.mark.parametrize("tampered", [keeping_inside, scaled_value])
+def test_separation_scan_sees_a_broken_functional(monkeypatch, tampered):
+    monkeypatch.setattr(torus, "annihilating_functional", tampered)
+    for degree in (2, 4):
+        pairs, mismatches = separation_scan_1d(degree)
+        assert pairs == (2 ** (2 * degree + 1) - 1) * 2 ** (2 * degree + 1)
+        assert mismatches > 0
+
+
+def test_random_function_matches_the_unique_draw():
+    for n in (1, 2, 3):
+        for degree in range(5):
+            for seed in (0, 3, 17):
+                rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(4):
+                    f, expected = random_function(n, degree, rng), unique_draw(n, degree, reference)
+                    assert np.array_equal(f.array, expected.array)
+                    assert not f.array.flags.writeable
+                assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_random_function_keeps_the_last_draw_of_a_cell():
+    # n = 2, d = 2, seed 1 draws cells 13, 18, 23, 0, 3, 20, 23: cell 23 twice
+    replay = np.random.default_rng(1)
+    m = int(replay.integers(1, 13))
+    cells = [int(replay.integers(24)) + 1, *replay.integers(0, 25, size=m).tolist()]
+    parts = replay.standard_normal((m + 1, 2))
+    assert cells == [13, 18, 23, 0, 3, 20, 23]
+    f = random_function(2, 2, np.random.default_rng(1))
+    assert f.array.flat[23] == complex(*parts[6]) != complex(*parts[2])
+    assert np.count_nonzero(f.array) == 6
+    assert np.array_equal(f.array, unique_draw(2, 2, np.random.default_rng(1)).array)
+
+
+def test_box_cells_match_the_tuple_built_ones(monkeypatch):
+    seen = []
+    projected = torus._projected
+    def recording(f, cells):
+        seen.append(cells)
+        return projected(f, cells)
+
+    monkeypatch.setattr(torus, "_projected", recording)
+    for n in (1, 2, 3):
+        for degree in range(6):
+            assert np.array_equal(torus._folded_cells(n, degree), tuple_fold(n, degree))
+            seen.clear()
+            assert completeness_residual_model(n, degree, trials=1) == 0.0
+            assert np.array_equal(seen[0], torus._cells(box_indices(n, degree), n, degree))
+
+
+@pytest.mark.parametrize("n, degree", [(1, 8), (3, 8)])
+def test_torus_report_bytes_match_the_oracles(monkeypatch, capsys, n, degree):
+    argv = ["torus", "--n", str(n), "--degree", str(degree)]
+    assert main(argv) == EXIT_OK
+    report = capsys.readouterr().out
+    monkeypatch.setattr(torus, "annihilating_functional", broadcast_oracle)
+    monkeypatch.setattr(torus, "random_function", unique_draw)
+    monkeypatch.setattr(torus, "_folded_cells", tuple_fold)
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == report
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_degree_zero_fejer_profiles_are_steady(capsys, n):
+    assert main(["torus", "--n", str(n), "--degree", "0"]) == EXIT_OK
+    fejer = json.loads(capsys.readouterr().out)["suites"]["fejer"]
+    assert fejer["error_profiles"] == [[0.0] * 5] * 20
+    assert fejer["monotone"] is True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fejer_monotonicity_sees_a_smoother_that_leaves_f_or_halves_it(monkeypatch, n):
+    monkeypatch.setattr(torus, "fejer_smooth", lambda f, d: f)
+    for degree in (1, 2, 8):
+        profiles, monotone = fejer_monotonicity(n, degree, functions=5, seed=2)
+        assert profiles == [[0.0] * 5] * 5 and not monotone
+    # a constant is kept by every kernel: a profile above 0 at degree 0 is not steady
+    monkeypatch.setattr(torus, "fejer_smooth", lambda f, d: 0.5 * f)
+    assert not fejer_monotonicity(n, 0, functions=5, seed=2)[1]
