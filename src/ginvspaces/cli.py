@@ -23,6 +23,7 @@ import functools
 import io
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -123,15 +124,6 @@ def _complex_matrix_payload(m: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, complex)]
 
 
-def _witness_payload(w) -> dict:
-    return {
-        "omega": list(w.omega),
-        "dim_subspace": w.dim_subspace,
-        "dim_direct_sum": w.dim_direct_sum,
-        "residual": w.residual,
-    }
-
-
 # -- decompose ----------------------------------------------------------------
 
 
@@ -187,19 +179,8 @@ def run_decompose(args) -> dict:
             family, s, action, tol=tol, seed=seed + _KERNEL_SEED_OFFSET + s.id
         )
         kernel_max = max(kernel_max, kreport.max_residual)
-        kernel_rows.append(
-            {
-                "id": s.id,
-                "symmetry": kreport.symmetry,
-                "reproduction": kreport.reproduction,
-                "equivariance": kreport.equivariance,
-                "stabilizer_fix": kreport.stabilizer_fix,
-                "diagonal_spread": kreport.diagonal_spread,
-                "diagonal_dim_gap": kreport.diagonal_dim_gap,
-                "membership": kreport.membership,
-                "diagonal_value": kreport.diagonal_value,
-            }
-        )
+        row = asdict(kreport)
+        kernel_rows.append({"id": row.pop("space_id"), **row})
 
     schur = dichotomy_trials(
         action, spaces, trials=args.schur_trials, seed=seed + _SCHUR_SEED_OFFSET, tol=tol
@@ -218,7 +199,7 @@ def run_decompose(args) -> dict:
     if not report.multiplicity_free:
         w = twisted_diagonal_witness(action, spaces, seed=seed + _WITNESS_SEED_OFFSET, tol=tol)
         if w is not None:
-            witness = _witness_payload(w)
+            witness = asdict(w)
 
     space_rows = []
     for s in spaces:
@@ -276,7 +257,7 @@ def run_decompose(args) -> dict:
             "trials": structure.trials,
             "passes": structure.passes,
             "max_residual": structure.max_residual,
-            "failures": [_witness_payload(f) for f in structure.failures],
+            "failures": [asdict(f) for f in structure.failures],
             "injectivity": injectivity,
             "twisted_diagonal_witness": witness,
         },
@@ -539,7 +520,7 @@ def _error_payload(exc: Exception) -> str:
         error["prop"] = exc.prop
         error["residual"] = exc.residual
     elif isinstance(exc, StructureFailure):
-        error["witness"] = None if exc.witness is None else _witness_payload(exc.witness)
+        error["witness"] = None if exc.witness is None else asdict(exc.witness)
     return render_json({"schema": SCHEMA_VERSION, "error": error}) + "\n"
 
 

@@ -8,7 +8,8 @@ Gamma_ij = <chi_i, chi_j> = dim Hom_G(H_i, H_j), whose unit diagonal certifies
 each cluster minimal and whose row sums are the isotype multiplicities. The
 star table dim(H_i ∩ H(x)) is a trace, ||P_i B_x||_F^2 for an orthonormal
 basis B_x of the stabilizer-fixed space H(x), which P_i commutes with; by
-Frobenius reciprocity it equals the same multiplicity. Multiplicity-freeness
+Frobenius reciprocity it equals the same multiplicity. Transitivity carries
+H(0) onto every H(x), so the table is read at point 0. Multiplicity-freeness
 is commutativity of the orbital algebra, tested on the row-0 products of its
 basis, and for a transitive action it holds exactly when Gamma = I.
 """
@@ -32,6 +33,9 @@ VERDICT_NOT_UNIQUE = "NotUniqueDecomposition"
 # for the canonical space order; well above same-space noise (~1e-12), well
 # below genuine entry differences at the target matrix sizes.
 _FINGERPRINT_TOL = 1e-7
+
+# Seeds `_decompose` tries, seed, seed + 1, ..., before a MinimalityFailure stands.
+RETRIES = 5
 
 
 @dataclass(frozen=True)
@@ -172,26 +176,19 @@ def multiplicity_free(action: GroupAction) -> bool:
     return all(np.array_equal(a[labels[0]] @ b[labels], b[labels[0]] @ a[labels]) for a, b in draws)
 
 
-def minimal_decomposition(
-    action: GroupAction,
-    seed: int = 42,
-    tol: float = DEFAULT_TOL,
-    retries: int = 5,
-) -> list:
+def minimal_decomposition(action: GroupAction, seed: int = 42, tol: float = DEFAULT_TOL) -> list:
     """Minimal invariant subspaces from a generic commutant element.
 
     A cluster failing invariance or minimality means the random element landed
-    on a degeneracy; the draw is retried with fresh seeds up to `retries` times.
+    on a degeneracy; the draw is retried with fresh seeds up to `RETRIES` times.
     """
-    return _decompose(action, seed, tol, retries)[0]
+    return _decompose(action, seed, tol)[0]
 
 
-def _decompose(action: GroupAction, seed: int, tol: float, retries: int = 5) -> tuple:
+def _decompose(action: GroupAction, seed: int, tol: float) -> tuple:
     """(spaces, completeness, orthogonality, equivariance, Gamma) of the first draw to pass."""
-    if retries < 1:
-        raise ValueError("retries must be at least 1")
     last = None
-    for attempt in range(retries):
+    for attempt in range(RETRIES):
         try:
             return _decompose_once(action, seed + attempt, tol)
         except MinimalityFailure as exc:
@@ -274,35 +271,36 @@ def h_space(action: GroupAction, x: int, tol: float = DEFAULT_TOL) -> Subspace:
 
 
 def check_star(spaces, action: GroupAction, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Table of dim(H_i intersect H(x)) over all spaces i and points x.
+    """Table of dim(H_i intersect H(x)) over all spaces i and points x, for
+    spaces that passed `_decompose`'s cluster certificate.
 
-    P_i commutes with the projector B_x B_x^H onto H(x), so the entry is the
-    trace ||P_i B_x||_F^2 = ||V_i^H B_x||_F^2, with V_i the basis of space i.
-    H(x) is spanned by the indicators of the stabilizer's orbits, the label
-    classes of row x (with row 0's class sizes s_k), so the entry is
-    sum_k ||sum_{y : label(x, y) = k} V_i[y, :]||^2 / s_k.
+    P_i commutes with the projector E_0 = B_0 B_0^H onto H(0), so the entry at
+    point 0 is the trace ||P_i B_0||_F^2 = ||V_i^H B_0||_F^2, with V_i the basis
+    of space i. H(0) is spanned by the indicators of the stabilizer's orbits,
+    the label classes of row 0 (sizes s_k), so the entry is
+    sum_k ||sum_{y : label(0, y) = k} V_i[y, :]||^2 / s_k. Column 0 is repeated
+    across the points: E_x = L_g E_0 L_g^H for g.0 = x, and the orbital mean of
+    P_i commutes with every L_g, so |T(i, x) - T(i, 0)| <= 2n max|P_i - mean(P_i)|,
+    the certificate, which is at most tol; every column rounds to column 0.
     Every entry is a positive integer for a valid decomposition (the
     multiplicity of H_i's isotype); a trace of 0 or one off an integer by
     more than tol is an internal error. The one-dimensionality condition
     holds iff all entries equal 1.
     """
-    labels = action.orbital_labels
+    row = action.orbital_labels[0]
     w, starts = stacked_bases([s.space for s in spaces])
-    sizes = np.bincount(labels[0])
-    class_starts = np.cumsum(sizes) - sizes
-    traces = np.empty((len(spaces), action.n_points))
-    for x, by_class in enumerate(np.argsort(labels, axis=1, kind="stable")):
-        sums = np.add.reduceat(w[by_class], class_starts, axis=0)
-        traces[:, x] = np.add.reduceat(np.sum(np.abs(sums) ** 2 / sizes[:, None], axis=0), starts)
+    sizes = np.bincount(row)
+    sums = np.add.reduceat(w[np.argsort(row, kind="stable")], np.cumsum(sizes) - sizes, axis=0)
+    traces = np.add.reduceat(np.sum(np.abs(sums) ** 2 / sizes[:, None], axis=0), starts)
     dims = np.rint(traces)
-    bad = np.argwhere(((dims == 0) | (np.abs(traces - dims) > tol)).T)
+    bad = np.flatnonzero((dims == 0) | (np.abs(traces - dims) > tol))
     if bad.size:
-        x, i = bad[0]
+        i = bad[0]
         raise InternalInconsistency(
-            f"space {spaces[i].id} meets the stabilizer-fixed space of point {x} "
-            f"with trace {float(traces[i, x])!r}, not a positive integer"
+            f"space {spaces[i].id} meets the stabilizer-fixed space of point 0 "
+            f"with trace {float(traces[i])!r}, not a positive integer"
         )
-    return dims.astype(int)
+    return np.repeat(dims.astype(int)[:, None], action.n_points, axis=1)
 
 
 def completeness_residual(spaces, n_points: int) -> float:

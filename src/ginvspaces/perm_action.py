@@ -102,7 +102,6 @@ class GroupAction:
         self.n_points = int(n_points)
         self.generators = tuple(generators)
         self.images = np.array(images, dtype=np.int64)
-        self.identity_index = 0
         if not len(self.images) or not np.array_equal(self.images[0], np.arange(self.n_points)):
             raise InternalInconsistency("image matrix must start with the identity")
         self.inverse_images = np.argsort(self.images, axis=1)

@@ -9,6 +9,9 @@ action's orbital-label matrix without touching the group elements.
 The projectors lie in the commutant, so avg(P_j A P_i) = P_j avg(A) P_i: the
 trials average each seeded random operator once and read every pair
 i -> j off block (j, i) of W^H avg(A) W, W = [V_1 ... V_k] the stacked basis.
+For iid standard complex Gaussian entries, the mean over orbital k (s_k pairs)
+has variance 1/s_k in each part, independent across orbitals: a trial draws its
+r orbital means, never A, and the averages are expanded in chunks.
 """
 
 from __future__ import annotations
@@ -22,9 +25,12 @@ from .errors import CapExceeded
 from .linalg import DEFAULT_TOL, block_max_abs, max_abs, stacked_bases, subspace_equal
 from .perm_action import GroupAction
 
-# Bytes of complex draws one dichotomy_trials call may hold: regular symmetric:6
-# (n = 720) at the default 100 trials needs 0.83 GB.
+# Bytes of the trials' averaged (n, n) complex operators past which dichotomy_trials
+# refuses to start, though it holds only CHUNK_BYTES of them at a time: regular
+# symmetric:6 (n = 720) at the default 100 trials comes to 0.83 GB.
 DRAW_BYTES_CAP = 2**30
+# Bytes of averaged (n, n) complex operators expanded and compressed at once.
+CHUNK_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -80,12 +86,13 @@ def classify_intertwiner(
     return IntertwinerClass(kind="violation", constant=None, residual=norm)
 
 
-def _compressed_classes(action: GroupAction, spaces, draws: np.ndarray, tol: float):
+def _compressed_classes(spaces, averages: np.ndarray, tol: float):
     """`classify_intertwiner` kinds (0 zero, 1 scalar, 2 violation) and residuals,
-    (trials, k, k), of the pair i -> j at (t, j, i): block (j, i) of W^H avg(A_t) W,
-    zero within tol, and scalar on the diagonal when C_ii - (trace C_ii / d_i) I is."""
+    (trials, k, k), of the pair i -> j at (t, j, i) from the averaged operators
+    avg(A_t): block (j, i) of W^H avg(A_t) W, zero within tol, and scalar on the
+    diagonal when C_ii - (trace C_ii / d_i) I is."""
     w, starts = stacked_bases([s.space for s in spaces])
-    c = w.conj().T @ _orbital_mean(draws, action) @ w
+    c = w.conj().T @ averages @ w
     norms = block_max_abs(c, starts, starts)
     dims = np.array([s.dim for s in spaces])
     traces = np.add.reduceat(np.diagonal(c, axis1=-2, axis2=-1), starts, axis=-1)
@@ -99,8 +106,8 @@ def _compressed_classes(action: GroupAction, spaces, draws: np.ndarray, tol: flo
 
 
 def _require_draw_budget(trials: int, n: int) -> None:
-    """CapExceeded, before anything is drawn, when the (trials, n, n) complex
-    draws of `dichotomy_trials` would pass DRAW_BYTES_CAP."""
+    """CapExceeded, before anything is drawn, when the trials' (n, n) complex
+    averaged operators would together pass DRAW_BYTES_CAP."""
     draw_bytes = trials * n * n * 16
     if draw_bytes > DRAW_BYTES_CAP:
         raise CapExceeded(
@@ -119,16 +126,25 @@ def dichotomy_trials(
     """Classify group averages of one seeded random operator per trial, for every pair."""
     n = action.n_points
     _require_draw_budget(trials, n)
-    rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((trials, n, n)) + 1j * rng.standard_normal((trials, n, n))
-    kinds, residuals = _compressed_classes(action, spaces, draws, tol)
+    labels = action.orbital_labels
+    sizes = n * np.bincount(labels[0])  # pairs per orbital
+    re, im = np.random.default_rng(seed).standard_normal((2, trials, sizes.size)) / np.sqrt(sizes)
+    means = re + 1j * im
+    step = max(1, CHUNK_BYTES // (n * n * 16))
     on_diag = np.eye(len(spaces), dtype=bool)
+    counts = np.zeros(3, dtype=int)
+    offdiagonal = diagonal = 0.0
+    for t in range(0, trials, step):
+        kinds, residuals = _compressed_classes(spaces, means[t : t + step][:, labels], tol)
+        counts += np.bincount(kinds.ravel(), minlength=3)
+        offdiagonal = max(offdiagonal, float(residuals[:, ~on_diag].max(initial=0.0)))
+        diagonal = max(diagonal, float(residuals[:, on_diag].max(initial=0.0)))
     return SchurSummary(
         pairs=len(spaces) ** 2,
         trials_per_pair=trials,
-        zero_count=int(np.count_nonzero(kinds == 0)),
-        scalar_count=int(np.count_nonzero(kinds == 1)),
-        violation_count=int(np.count_nonzero(kinds == 2)),
-        max_offdiagonal_residual=float(residuals[:, ~on_diag].max(initial=0.0)),
-        max_diagonal_residual=float(residuals[:, on_diag].max(initial=0.0)),
+        zero_count=int(counts[0]),
+        scalar_count=int(counts[1]),
+        violation_count=int(counts[2]),
+        max_offdiagonal_residual=offdiagonal,
+        max_diagonal_residual=diagonal,
     )

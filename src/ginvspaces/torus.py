@@ -118,8 +118,10 @@ def _as_key(k, n: int) -> tuple:
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
-    """The box array made read-only, once its coefficients are checked finite."""
-    if not np.isfinite(array).all():
+    """The box array made read-only, once its coefficients are checked finite.
+    Every caller passes a fresh C-contiguous complex128 array, so the check
+    reads its float64 view: the real and imaginary parts side by side."""
+    if not np.isfinite(array.view(np.float64)).all():
         raise ValueError("coefficients must be finite")
     array.setflags(write=False)
     return array

@@ -456,6 +456,20 @@ def test_check_star_matches_h_space_traces_past_the_battery(perfbench, spec):
     assert np.array_equal(check_star(spaces, action), star_table_by_h_space_traces(spaces, action))
 
 
+def test_certificate_rejects_a_space_whose_star_trace_moves_between_points():
+    # u = (e1 + e2)/sqrt(2) on S3 natural lies in H(0) but not in H(1): the
+    # per-point traces read 1 and 0.75, so column 0 alone would miss it. Its
+    # projector is far from the commutant, so it never reaches check_star.
+    action = s3_natural()
+    u = np.array([0.0, 1.0, 1.0]) / np.sqrt(2)
+    traces = [np.sum(np.abs(u @ h_space(action, x).basis) ** 2) for x in range(3)]
+    assert traces == pytest.approx([1.0, 0.75, 0.75], abs=1e-12)
+    p = np.outer(u, u).astype(complex)
+    certificate = 2 * action.n_points * max_abs(p - decomposition._orbital_mean(p, action))
+    assert certificate == pytest.approx(2.0)
+    assert certificate > 1e8 * 1e-9
+
+
 def compare_full_projectors(a, b, tol=1e-7):
     """Oracle: dimension, first support, then the first entry of the raveled
     projector difference beyond tol, then eigenvalue."""

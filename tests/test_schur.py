@@ -1,9 +1,16 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ginvspaces.decomposition import minimal_decomposition, multiplicity_free, rep_operators
+from ginvspaces import schur
+from ginvspaces.decomposition import (
+    _orbital_mean,
+    minimal_decomposition,
+    multiplicity_free,
+    rep_operators,
+)
 from ginvspaces.errors import CapExceeded
 from ginvspaces.linalg import max_abs
 from ginvspaces.perm_action import (
@@ -162,7 +169,7 @@ def test_compressed_dichotomy_matches_classify_per_trial_and_pair(spec):
     n, trials, seed = action.n_points, 4, 13
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((trials, n, n)) + 1j * rng.standard_normal((trials, n, n))
-    kinds, residuals = _compressed_classes(action, spaces, draws, 1e-9)
+    kinds, residuals = _compressed_classes(spaces, _orbital_mean(draws, action), 1e-9)
     assert kinds.shape == residuals.shape == (trials, len(spaces), len(spaces))
     counts = {"zero": 0, "scalar": 0, "violation": 0}
     for t in range(trials):
@@ -173,7 +180,7 @@ def test_compressed_dichotomy_matches_classify_per_trial_and_pair(spec):
                 assert kinds[t, j, i] == KIND_CODES[cls.kind]
                 if cls.kind != "violation":
                     assert residuals[t, j, i] <= 1e-9
-    # dichotomy_trials draws the same stack from the same seed
+    # dichotomy_trials draws its own orbital means; the counts do not depend on the draw
     summary = dichotomy_trials(action, spaces, trials=trials, seed=seed)
     assert (summary.zero_count, summary.scalar_count, summary.violation_count) == (
         counts["zero"], counts["scalar"], counts["violation"]
@@ -189,3 +196,56 @@ def test_draw_budget_admits_regular_symmetric_6_at_default_trials():
     _require_draw_budget(most, 720)
     with pytest.raises(CapExceeded, match=re.escape(f"{(most + 1) * 720 * 720 * 16:.3e} bytes")):
         _require_draw_budget(most + 1, 720)
+
+
+@pytest.mark.parametrize("spec", ["regular:symmetric:3", "regular:dihedral:12", "regular:cyclic:12"])
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_chunked_trials_match_one_chunk(monkeypatch, spec, chunk):
+    action = group_from_spec(spec)
+    spaces = minimal_decomposition(action, seed=42)
+    whole = dichotomy_trials(action, spaces, trials=8, seed=7)
+    monkeypatch.setattr(schur, "CHUNK_BYTES", chunk * action.n_points**2 * 16)
+    assert dichotomy_trials(action, spaces, trials=8, seed=7) == whole
+
+
+def test_zero_trials_count_nothing():
+    action, spaces = decompose(cyclic_generators(4))
+    summary = dichotomy_trials(action, spaces, trials=0, seed=5)
+    assert (summary.pairs, summary.trials_per_pair) == (16, 0)
+    assert summary.zero_count == summary.scalar_count == summary.violation_count == 0
+    assert summary.max_offdiagonal_residual == summary.max_diagonal_residual == 0.0
+
+
+def test_averaged_draws_are_orbital_means_of_iid_gaussian_operators(monkeypatch):
+    # the mean of s_k iid standard complex entries: variance 1/s_k in each part
+    action = group_from_spec("dihedral:7")
+    spaces = minimal_decomposition(action, seed=42)
+    chunks = []
+    classes = schur._compressed_classes
+    monkeypatch.setattr(
+        schur, "_compressed_classes", lambda s, a, tol: chunks.append(a) or classes(s, a, tol)
+    )
+    dichotomy_trials(action, spaces, trials=20_000, seed=3)
+    averages = np.concatenate(chunks)
+    assert averages.shape == (20_000, 7, 7)
+    labels = action.orbital_labels
+    for k in range(int(labels.max()) + 1):
+        on_orbital = averages[:, labels == k]
+        assert np.array_equal(on_orbital, np.repeat(on_orbital[:, :1], on_orbital.shape[1], axis=1))
+        expected = 1.0 / on_orbital.shape[1]
+        for part in (on_orbital[:, 0].real, on_orbital[:, 0].imag):
+            assert np.var(part) == pytest.approx(expected, rel=0.05)
+
+
+def test_chunked_trials_never_hold_the_whole_stack(monkeypatch):
+    action = group_from_spec("regular:cyclic:60")
+    spaces = minimal_decomposition(action, seed=42)
+    n, trials = action.n_points, 400
+    monkeypatch.setattr(schur, "CHUNK_BYTES", 4 * n * n * 16)
+    tracemalloc.start()
+    try:
+        dichotomy_trials(action, spaces, trials=trials, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < trials * n * n * 16 / 10

@@ -361,6 +361,20 @@ def test_arithmetic_rejects_coefficients_that_overflow():
     assert (z - z).support() == ()
 
 
+_NONFINITE = [complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 1.0),
+              complex(1.0, -np.inf)]
+
+
+@pytest.mark.parametrize("value", _NONFINITE, ids=["nan-re", "nan-im", "inf-re", "inf-im"])
+def test_nonfinite_real_or_imaginary_part_is_rejected(value):
+    with pytest.raises(ValueError, match="finite"):
+        FourierFunction(2, 1, {(0, 1): 1.0, (1, -1): value})
+    array = np.zeros((3, 3), dtype=complex)
+    array[2, 0] = value
+    with pytest.raises(ValueError, match="finite"):
+        FourierFunction._of(array)
+
+
 def test_multi_index_beyond_int64_is_outside_the_box():
     huge = 10**20
     with pytest.raises(ValueError, match="outside the degree-2 box"):
