@@ -395,7 +395,7 @@ def run_torus(args) -> dict:
     polydisc_trials, polydisc_ok = torus_model.polydisc_rotation_trials(
         n, degree, trials=args.polydisc_trials, seed=seed + 23
     )
-    separation_pairs, separation_mismatches = torus_model.separation_scan_1d(degree=4)
+    separation_pairs, separation_mismatches = torus_model.separation_scan_1d()
 
     payload = {
         "schema": SCHEMA_VERSION,
@@ -422,14 +422,14 @@ def run_torus(args) -> dict:
                 n, degree, seed=seed + 13
             ),
             "fejer": {
-                "degrees": [1, 2, 4, 8, 16],
+                "degrees": list(torus_model.FEJER_DEGREES),
                 "functions": args.fejer_functions,
                 "monotone": fejer_monotone,
                 "error_profiles": fejer_profiles,
             },
             "polydisc": {"trials": polydisc_trials, "preserved": polydisc_ok},
             "separation_scan": {
-                "box": "n=1,d=4",
+                "box": f"n=1,d={torus_model.SEPARATION_SCAN_DEGREE}",
                 "pairs": separation_pairs,
                 "mismatches": separation_mismatches,
             },

@@ -12,6 +12,9 @@ Frobenius reciprocity it equals the same multiplicity. Transitivity carries
 H(0) onto every H(x), so the table is read at point 0. Multiplicity-freeness
 is commutativity of the orbital algebra, tested on the row-0 products of its
 basis, and for a transitive action it holds exactly when Gamma = I.
+Invariance has one check, 2 max|P - M| with M the orbital mean of P: it bounds
+|P[g.x, g.y] - P[x, y]| over every group element g and every pair of points;
+the reported equivariance residual is that bound, the largest over the spaces.
 """
 
 from __future__ import annotations
@@ -118,26 +121,23 @@ def random_commutant_element(basis, seed: int) -> np.ndarray:
     return m
 
 
-def _orbital_mean(a: np.ndarray, action: GroupAction) -> np.ndarray:
-    """Replace every entry of each (n, n) operator in the stack by its orbital's mean."""
-    n = action.n_points
+def _orbital_mean(a: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Replace every entry of each (n, n) operator in the stack by the mean of its
+    label class; with the orbital labels, the orbital mean (the Reynolds operator)."""
+    n = labels.shape[0]
     b = a.reshape(-1, n * n)
-    labels = action.orbital_labels.ravel()
-    sizes = np.bincount(labels)
-    # one bincount over (operator, orbital) bins covers the whole stack
-    bins = (labels + sizes.size * np.arange(len(b))[:, None]).ravel()
+    flat = labels.ravel()
+    sizes = np.bincount(flat)
+    # one bincount over (operator, class) bins covers the whole stack
+    bins = (flat + sizes.size * np.arange(len(b))[:, None]).ravel()
     means = bin_sums(bins, b, sizes.size * len(b)).reshape(len(b), sizes.size) / sizes
-    return means[:, labels].reshape(a.shape)
+    return means[:, flat].reshape(a.shape)
 
 
-def _commutator_residual(p: np.ndarray, action: GroupAction) -> float:
-    """max over generators of |L p - p L| using index gathers instead of dense L."""
-    worst = 0.0
-    for g in action.generators:
-        img = g.images
-        inv = np.argsort(img)
-        worst = max(worst, max_abs(p[img, :] - p[:, inv]))
-    return worst
+def _invariance_residual(a: np.ndarray, labels: np.ndarray) -> float:
+    """2 max|A - M|, M the label-class mean of A: with the (certified G-invariant)
+    orbital labels, M is invariant, so this bounds |A[g.x, g.y] - A[x, y]| over all g."""
+    return 2 * max_abs(a - _orbital_mean(a, labels))
 
 
 def character_gram(spaces, action: GroupAction) -> np.ndarray:
@@ -218,9 +218,10 @@ def _decompose_once(action: GroupAction, seed: int, tol: float) -> tuple:
         if i == n or w[i] - w[i - 1] > gap:
             sub = Subspace(n, v[:, lo:i], tol)
             p = projector(sub)
+            residual = _invariance_residual(p, labels)
             # K = nP: every kernel identity that can fail here is within 2n max|P - mean(P)|
-            _certify("cluster commutant", 2 * n * max_abs(p - _orbital_mean(p, action)), tol)
-            equivariance = max(equivariance, _commutator_residual(p, action))
+            _certify("cluster commutant", n * residual, tol)
+            equivariance = max(equivariance, residual)
             candidates.append((MinimalSpace(len(candidates), sub, float(w[lo])), p[0].copy()))
             lo = i
 
@@ -315,10 +316,6 @@ def orthogonality_residual(spaces) -> float:
     blocks = block_max_abs(w.conj().T @ w, starts, starts)
     np.fill_diagonal(blocks, 0.0)
     return float(blocks.max())
-
-
-def equivariance_residual(spaces, action: GroupAction) -> float:
-    return max((_commutator_residual(s.projector, action) for s in spaces), default=0.0)
 
 
 def build_report(action: GroupAction, seed: int = 42, tol: float = DEFAULT_TOL) -> GCollectionReport:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import _commutator_residual, _orbital_mean, character_gram, multiplicity_free
+from .decomposition import _invariance_residual, _orbital_mean, character_gram, multiplicity_free
 from .errors import InternalInconsistency, StructureFailure
 from .linalg import DEFAULT_TOL, Subspace, block_max_abs, max_abs, orthonormalize, projector
 from .linalg import stacked_bases, subspace_equal
@@ -64,6 +64,7 @@ def orbit_span(vectors, action: GroupAction, tol: float = DEFAULT_TOL) -> Subspa
     It is the range of sum_g L_g v v^H L_g^H, |G| times the orbital mean of v v^H,
     whose eigenvalues are the squared singular values of the translates over |G|.
     Eigenvectors above tol times the largest are kept (scale-free; v = 0 spans nothing).
+    A cut through an eigenvalue cluster is caught by the orbital-mean residual.
     """
     v = np.asarray(vectors, dtype=complex)
     if v.ndim == 1:
@@ -71,10 +72,12 @@ def orbit_span(vectors, action: GroupAction, tol: float = DEFAULT_TOL) -> Subspa
     n = action.n_points
     if v.shape[0] != n:
         raise ValueError("vectors do not match the point count")
-    w, u = np.linalg.eigh(_orbital_mean(v @ v.conj().T, action))
+    w, u = np.linalg.eigh(_orbital_mean(v @ v.conj().T, action.orbital_labels))
     sub = Subspace(n, u[:, w > tol * w[-1]], tol)
-    if _commutator_residual(projector(sub), action) > tol:
-        raise InternalInconsistency("orbit span is not invariant")
+    residual = _invariance_residual(projector(sub), action.orbital_labels)
+    if residual > tol:
+        why = f"orbit span is not invariant: residual {residual:.3e} exceeds tol {tol:.3e}"
+        raise InternalInconsistency(why)
     return sub
 
 

@@ -3,9 +3,10 @@
 Under the uniform-probability inner product the kernel of point evaluation of
 the projection is K_x(y) = n * P[y, x]: the projector rescaled by the number
 of points. The verifier checks the five kernel identities numerically:
-Hermitian symmetry, reproduction, equivariance, stabilizer fixity (both by
-index gathers through rows of the action's image matrix), and a constant
-positive diagonal (which the trace forces to equal the space dimension).
+Hermitian symmetry, reproduction, equivariance, stabilizer fixity, and a
+constant positive diagonal (which the trace forces to equal the space
+dimension). Equivariance and stabilizer fixity are read off label-class means,
+so each residual bounds its identity over every group element and every point.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import MinimalSpace, _commutator_residual
+from .decomposition import MinimalSpace, _invariance_residual
 from .errors import PropertyViolation
-from .linalg import DEFAULT_TOL, max_abs
-from .perm_action import GroupAction, stabilizer
+from .linalg import DEFAULT_TOL, bin_sums, max_abs
+from .perm_action import GroupAction
 
 
 @dataclass(frozen=True)
@@ -70,9 +71,7 @@ def verify_kernel_properties(
 ) -> KernelPropertyReport:
     """Residuals for the five kernel identities plus membership in the space.
 
-    Raises PropertyViolation naming the first identity whose residual exceeds
-    tol. Stabilizer fixity is checked at point 0 with the full stabilizer and
-    at three seeded points via conjugated stabilizers.
+    Raises PropertyViolation naming the first identity whose residual exceeds tol.
     """
     k = family.matrix
     v = space.space.basis  # P X is computed as V (V^H X)
@@ -84,9 +83,15 @@ def verify_kernel_properties(
     fs = rng.standard_normal((n, trials)) + 1j * rng.standard_normal((n, trials))
     reproduction = max_abs(v @ (v.conj().T @ fs) - (k @ fs) / n)
 
-    equivariance = _commutator_residual(k, action)
-
-    stabilizer_fix = _stabilizer_residual(k, action, rng)
+    labels = action.orbital_labels
+    equivariance = _invariance_residual(k, labels)
+    # (y, x) and (y', x) share a label iff some h fixing x carries y to y': column x's
+    # classes are its stabilizer's orbits, |orbital| / n points each; lone points are fixed
+    size = np.bincount(labels[:, 0])
+    shared = size[labels] > 1
+    classes = (labels + size.size * np.arange(n))[shared]
+    means = bin_sums(classes, k[shared], size.size * n).reshape(n, -1) / size
+    stabilizer_fix = 2 * max_abs(k[shared] - means.ravel()[classes])
 
     diag = np.diagonal(k)
     dim = space.dim
@@ -122,20 +127,3 @@ def verify_kernel_properties(
     if dim > 0 and float(diag.real.min()) <= 0.0:
         raise PropertyViolation("5-positivity", float(diag.real.min()))
     return report
-
-
-def _stabilizer_residual(k: np.ndarray, action: GroupAction, rng) -> float:
-    """Kernel fixity under stabilizers: at 0 directly, at x by the conjugates
-    t k t^-1 (t.0 = x), one gather of the stabilizer's image rows."""
-    n = action.n_points
-    stab = action.images[list(stabilizer(action, 0).members)]
-    col0 = k[:, 0]
-    worst = max_abs(col0[stab] - col0)
-    if n > 1:
-        points = rng.choice(np.arange(1, n), size=min(3, n - 1), replace=False)
-        for x in points:
-            t = int(np.nonzero(action.images[:, 0] == x)[0][0])
-            conj = action.images[t][stab[:, action.inverse_images[t]]]
-            colx = k[:, int(x)]
-            worst = max(worst, max_abs(colx[conj] - colx))
-    return worst

@@ -135,6 +135,7 @@ class GroupAction:
         with z in one orbit of the stabilizer K of point 0, and (x, y) lies in
         the orbital of (0, t^-1 y) for any t with t.0 = x: one gather through
         the inverse images labels every pair.
+        Certified exactly: label(g.x, g.y) = label(x, y) for every generator g.
         """
         if not is_transitive(self):
             raise NotTransitive("orbitals are defined for transitive actions")
@@ -148,6 +149,9 @@ class GroupAction:
         renumber = np.empty(first_seen.size, dtype=np.int64)
         renumber[np.argsort(first_seen)] = np.arange(first_seen.size)
         labels = renumber[raw]
+        for i, g in enumerate(self.generators):
+            if not np.array_equal(labels[g.images][:, g.images], labels):
+                raise InternalInconsistency(f"orbital labels not invariant under generator {i}")
         labels.setflags(write=False)
         return labels
 

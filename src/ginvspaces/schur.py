@@ -25,12 +25,14 @@ from .errors import CapExceeded
 from .linalg import DEFAULT_TOL, block_max_abs, max_abs, stacked_bases, subspace_equal
 from .perm_action import GroupAction
 
-# Bytes of the trials' averaged (n, n) complex operators past which dichotomy_trials
-# refuses to start, though it holds only CHUNK_BYTES of them at a time: regular
-# symmetric:6 (n = 720) at the default 100 trials comes to 0.83 GB.
+# Bytes dichotomy_trials may hold, by `_require_draw_budget`'s estimate, before it
+# refuses to start: regular symmetric:6 (n = 720) at the default 100 trials holds 0.4 GB.
 DRAW_BYTES_CAP = 2**30
 # Bytes of averaged (n, n) complex operators expanded and compressed at once.
 CHUNK_BYTES = 64 * 2**20
+# Chunk-sized arrays `_compressed_classes` holds at its peak, counting the (chunk, k, k)
+# ones at k = n; traced peaks on regular cyclic:60 and :120 read 5.2 to 6.0 chunks.
+CHUNK_COPIES = 6
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,7 @@ def group_average(a, src: MinimalSpace, dst: MinimalSpace, action: GroupAction) 
     if a.ndim < 2 or a.shape[-2:] != (n, n):
         raise ValueError("operator shape does not match the point count")
     vd, vs = dst.space.basis, src.space.basis
-    return _orbital_mean(vd @ (vd.conj().T @ a @ vs) @ vs.conj().T, action)
+    return _orbital_mean(vd @ (vd.conj().T @ a @ vs) @ vs.conj().T, action.orbital_labels)
 
 
 def classify_intertwiner(
@@ -105,15 +107,18 @@ def _compressed_classes(spaces, averages: np.ndarray, tol: float):
     return kinds, residuals
 
 
-def _require_draw_budget(trials: int, n: int) -> None:
-    """CapExceeded, before anything is drawn, when the trials' (n, n) complex
-    averaged operators would together pass DRAW_BYTES_CAP."""
-    draw_bytes = trials * n * n * 16
-    if draw_bytes > DRAW_BYTES_CAP:
+def _require_draw_budget(trials: int, n: int, r: int) -> int:
+    """Trials per chunk, after CapExceeded (before anything is drawn) if the bytes
+    held would pass DRAW_BYTES_CAP: 32 B per trial and orbital for the (trials, r)
+    draws and means, and CHUNK_COPIES chunks of (n, n) complex averages."""
+    step = max(1, CHUNK_BYTES // (n * n * 16))
+    held = trials * r * 32 + CHUNK_COPIES * min(trials, step) * n * n * 16
+    if held > DRAW_BYTES_CAP:
         raise CapExceeded(
-            f"{trials} Schur trials on {n} points draw {draw_bytes:.3e} bytes, "
+            f"{trials} Schur trials on {n} points hold {held:.3e} bytes, "
             f"past the cap of {DRAW_BYTES_CAP:.3e}"
         )
+    return step
 
 
 def dichotomy_trials(
@@ -125,12 +130,11 @@ def dichotomy_trials(
 ) -> SchurSummary:
     """Classify group averages of one seeded random operator per trial, for every pair."""
     n = action.n_points
-    _require_draw_budget(trials, n)
     labels = action.orbital_labels
     sizes = n * np.bincount(labels[0])  # pairs per orbital
+    step = _require_draw_budget(trials, n, sizes.size)
     re, im = np.random.default_rng(seed).standard_normal((2, trials, sizes.size)) / np.sqrt(sizes)
     means = re + 1j * im
-    step = max(1, CHUNK_BYTES // (n * n * 16))
     on_diag = np.eye(len(spaces), dtype=bool)
     counts = np.zeros(3, dtype=int)
     offdiagonal = diagonal = 0.0

@@ -20,6 +20,10 @@ import numpy as np
 from .errors import DimensionMismatch
 
 MAX_TORUS_DIM = 3
+# Fejer kernel degrees of the smoothing-error profiles, and the degree of the
+# one-dimensional box the separation scan covers; the torus report echoes both.
+FEJER_DEGREES = (1, 2, 4, 8, 16)
+SEPARATION_SCAN_DEGREE = 4
 
 
 class TorusPoint:
@@ -257,17 +261,15 @@ def random_point(n: int, rng) -> TorusPoint:
 
 def monomial_orthonormality_residual(n: int, degree: int, seed: int = 0) -> float:
     """Deviation of the Parseval Gram matrix of the monomials, built as the
-    constructor builds one, from the identity. A small box pairs every monomial
-    with every other. A large box (no box x box array) pairs 4 combinations
-    sum_k R[j, k] z**k instead: row 0 of R is all ones, the others seeded Gaussian
-    integers with |Re|, |Im| <= 8, and the residual is max|G - R.R^H| relative to
-    max diag(R.R^H). Every sum is an integer below 2**53, so it is exact: a sound
-    model reads 0, and a cell map sending two monomials to one cell raises G[0, 0]."""
+    constructor builds one, from the identity, without a box x box array: it
+    pairs 4 combinations sum_k R[j, k] z**k, row 0 of R all ones and the others
+    seeded Gaussian integers with |Re|, |Im| <= 8, and the residual is
+    max|G - R.R^H| relative to max diag(R.R^H). Every sum is an integer below
+    2**53, so it is exact: a sound model reads 0, a Parseval sum without conj
+    moves the off-diagonal entries, and a cell map sending two monomials to one
+    cell raises G[0, 0]."""
     cells = _cells(box_indices(n, degree), n, degree)
     size = cells.size
-    if size**2 <= 100_000:
-        rows = _summed(cells + size * np.arange(size), np.ones(size), (size, size))
-        return float(np.max(np.abs(_parseval(rows, rows) - np.eye(size))))
     parts = np.random.default_rng(seed).integers(-8, 9, size=(2, 4, size), dtype=np.int8)
     weights = parts[0].astype(complex)
     weights.imag = parts[1]
@@ -292,7 +294,7 @@ def unitarity_residual(n: int, degree: int, trials: int = 50, seed: int = 0) -> 
 
 
 def fejer_monotonicity(
-    n: int, degree: int, functions: int = 20, degrees=(1, 2, 4, 8, 16), seed: int = 0
+    n: int, degree: int, functions: int = 20, degrees=FEJER_DEGREES, seed: int = 0
 ):
     """Smoothing error profiles on seeded random functions. Returns (profiles,
     monotone): monotone means no step increases and the last error is strictly
@@ -354,7 +356,7 @@ def completeness_residual_model(n: int, degree: int, trials: int = 25, seed: int
     return worst
 
 
-def separation_scan_1d(degree: int = 4):
+def separation_scan_1d(degree: int = SEPARATION_SCAN_DEGREE):
     """Exhaustive scan of the one-dimensional degree box: for every subset omega
     and every g with coefficient 1 on a nonempty support S, the functional must
     separate exactly when S reaches outside omega. Returns (pairs, mismatches)."""

@@ -24,6 +24,7 @@ from ginvspaces.linalg import (
     subspace_equal,
 )
 from ginvspaces.perm_action import (
+    GroupAction,
     cyclic_generators,
     dihedral_generators,
     enumerate_group,
@@ -133,14 +134,26 @@ def test_orbit_span_needs_a_transitive_action():
 
 def test_orbit_span_guard_catches_labels_of_another_action():
     # the orbital labels of a relabelled copy average v v^H over the wrong
-    # orbitals, so the span is invariant under the copy but not the action
+    # orbitals, so the span is invariant under the copy but not the action;
+    # labels computed from the copy's images fail the action's generators
     action = enumerate_group(cyclic_generators(5))
     relabel = np.array([0, 2, 1, 3, 4])
     copy = enumerate_group([relabel[g.images[relabel]] for g in action.generators])
     v = minimal_decomposition(copy, seed=42)[1].space.basis
     assert orbit_span(v, copy).rank == 1
-    action.__dict__["orbital_labels"] = copy.orbital_labels
-    with pytest.raises(InternalInconsistency, match="orbit span is not invariant"):
+    mixed = GroupAction(5, action.generators, copy.images)
+    with pytest.raises(InternalInconsistency, match="orbital labels not invariant"):
+        orbit_span(v, mixed)
+
+
+def test_orbit_span_guard_names_its_residual_and_tol(monkeypatch):
+    # without the orbital mean the span is v's own line, which C5 moves
+    action = enumerate_group(cyclic_generators(5))
+    monkeypatch.setattr(invariant_subspaces, "_orbital_mean", lambda a, labels: a)
+    v = np.array([1.0, 0.0, 0.0, 0.0, 0.0])
+    # P = e0 e0^H has orbital mean 1/5 on the diagonal: 2 (1 - 1/5) = 1.6
+    message = r"not invariant: residual 1\.600e\+00 exceeds tol 1\.000e-09"
+    with pytest.raises(InternalInconsistency, match=message):
         orbit_span(v, action)
 
 

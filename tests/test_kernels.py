@@ -3,12 +3,7 @@ import pytest
 
 from ginvspaces.decomposition import MinimalSpace, minimal_decomposition
 from ginvspaces.errors import PropertyViolation
-from ginvspaces.kernels import (
-    KernelFamily,
-    _stabilizer_residual,
-    kernel_family,
-    verify_kernel_properties,
-)
+from ginvspaces.kernels import KernelFamily, kernel_family, verify_kernel_properties
 from ginvspaces.linalg import Subspace, max_abs, orthonormalize, projector, subspace_equal
 from ginvspaces.perm_action import (
     GroupAction,
@@ -16,7 +11,6 @@ from ginvspaces.perm_action import (
     dihedral_generators,
     enumerate_group,
     group_from_spec,
-    stabilizer,
     symmetric_generators,
 )
 
@@ -122,23 +116,20 @@ def test_property_violation_raised_for_corrupted_family():
     assert err.value.residual > 1e-9
 
 
-def test_family_with_a_column_outside_the_space_violates_membership():
-    # C4 acts regularly, so every stabilizer is trivial; without generators and
-    # random trials the only check a Hermitian change with an unchanged diagonal
-    # can fail is membership. e = (1, 0, 1, 0) is orthogonal to the character
-    # (1, i, -1, -i) / 2, and column 1 of K becomes nP[:, 1] + e.
+def test_family_changed_inside_the_commutant_violates_only_membership():
+    # 4(P_a - P_b) for two other characters of C4 lies in the commutant and has a
+    # zero diagonal, so without random trials the only identity it can break is
+    # membership: K + 4(P_a - P_b) is Hermitian, invariant, with diagonal 1
     c4 = enumerate_group(cyclic_generators(4))
-    space = MinimalSpace(id=0, space=orthonormalize(np.array([[1], [1j], [-1], [-1j]])),
-                         eigenvalue=0.0)
-    k = kernel_family(space, 4).matrix.copy()
-    e = np.array([1.0, 0.0, 1.0, 0.0])
-    k[:, 1] += e
-    k[1, :] += e
-    unpresented = GroupAction(4, [], c4.images)
+    lines = [orthonormalize((1j ** (j * np.arange(4)))[:, None]) for j in range(3)]
+    space = MinimalSpace(id=0, space=lines[1], eigenvalue=0.0)
+    k = kernel_family(space, 4).matrix + 4 * (projector(lines[0]) - projector(lines[2]))
     with pytest.raises(PropertyViolation) as err:
-        verify_kernel_properties(KernelFamily(0, k), space, unpresented, trials=0)
+        verify_kernel_properties(KernelFamily(0, k), space, c4, trials=0)
     assert err.value.prop == "membership"
     assert err.value.residual == pytest.approx(max_abs(k - projector(space.space) @ k))
+    report = verify_kernel_properties(KernelFamily(0, k), space, c4, trials=0, tol=np.inf)
+    assert report.max_residual == report.membership == pytest.approx(2.0)
 
 
 def test_kernel_family_shape_mismatch():
@@ -147,48 +138,79 @@ def test_kernel_family_shape_mismatch():
         kernel_family(spaces[0], 5)
 
 
-def stabilizer_residual_by_permutations(k, action, rng):
-    """Oracle: the conjugated stabilizers composed as Permutation objects."""
+def equivariance_by_every_element(k, action):
+    """Oracle: max over every enumerated g of |K[g.x, g.y] - K[x, y]|."""
+    return max(max_abs(k[np.ix_(g, g)] - k) for g in action.images)
+
+
+def stabilizer_fix_by_permutations(k, action):
+    """Oracle, one value per point x: max over the elements h fixing x, found among
+    the enumerated `Permutation`s, of |K_x(h.y) - K_x(y)|."""
+    return [
+        max(max_abs(k[h.images, x] - k[:, x]) for h in action.elements if h.apply(x) == x)
+        for x in range(action.n_points)
+    ]
+
+
+ACTIONS = ["cyclic:7", "dihedral:6", "symmetric:4", "regular:symmetric:3", "s6-pairs"]
+
+
+@pytest.mark.parametrize("kind", ["kernel", "noise"])
+@pytest.mark.parametrize("spec", ACTIONS)
+def test_kernel_residuals_bound_every_element_and_every_point(perfbench, spec, kind):
+    # the genuine kernel, or a Hermitian matrix with a positive diagonal far from
+    # the commutant, read at a tol that lets every residual through
+    action = group_from_spec(perfbench.workloads.s6_on_pairs(1) if spec == "s6-pairs" else spec)
     n = action.n_points
-    members = stabilizer(action, 0).members
-    col0 = k[:, 0]
-    worst = max(max_abs(col0[action.images[e]] - col0) for e in members)
-    if n > 1:
-        for x in rng.choice(np.arange(1, n), size=min(3, n - 1), replace=False):
-            t = action.elements[int(np.nonzero(action.images[:, 0] == x)[0][0])]
-            colx = k[:, int(x)]
-            for e in members:
-                conj = t.compose(action.elements[e]).compose(t.inverse())
-                worst = max(worst, max_abs(colx[conj.images] - colx))
-    return worst
+    noise = np.random.default_rng(5)
+    a = noise.standard_normal((n, n)) + 1j * noise.standard_normal((n, n))
+    for s in minimal_decomposition(action, seed=42):
+        k = kernel_family(s, n).matrix if kind == "kernel" else a @ a.conj().T
+        report = verify_kernel_properties(KernelFamily(s.id, k), s, action, tol=np.inf)
+        assert report.equivariance >= equivariance_by_every_element(k, action)
+        assert all(report.stabilizer_fix >= r for r in stabilizer_fix_by_permutations(k, action))
+        assert (report.equivariance <= 1e-9) == (kind == "kernel")
 
 
-@pytest.mark.parametrize(
-    "spec", ["cyclic:1", "cyclic:6", "dihedral:5", "symmetric:4", "symmetric:5", "regular:symmetric:3"]
-)
-@pytest.mark.parametrize("seed", [0, 11])
-def test_gathered_stabilizer_residual_matches_composed_permutations(spec, seed):
-    action = group_from_spec(spec)
-    n = action.n_points
-    noise = np.random.default_rng(seed)
-    k = noise.standard_normal((n, n)) + 1j * noise.standard_normal((n, n))
-    got = _stabilizer_residual(k, action, np.random.default_rng(seed))
-    assert got == stabilizer_residual_by_permutations(k, action, np.random.default_rng(seed))
-
-
-def test_kernel_broken_only_away_from_point_0_violates_stabilizer_fixity():
-    # u = (2, 1, 1, 1) / sqrt 7 spans a genuine space, not an invariant one:
-    # column 0 of K = 4 u u^H is fixed by the stabilizer of 0, so only the
-    # conjugated stabilizers at the drawn points 1..3 see it (4/7 off)
+def broken_away_from_point_0():
+    """S4 without generators and K = 4 u u^H, u = (2, 1, 1, 1) / sqrt 7: column 0
+    is fixed by the stabilizer of 0, and the other columns are not (4/7 off)."""
     s4 = enumerate_group(symmetric_generators(4))
     space = MinimalSpace(id=0, space=orthonormalize(np.array([[2.0], [1.0], [1.0], [1.0]])),
                          eigenvalue=0.0)
-    k = kernel_family(space, 4).matrix
-    members = stabilizer(s4, 0).members
-    assert max_abs(k[:, 0][s4.images[list(members)]] - k[:, 0]) <= 1e-12
-    # no generators, so the equivariance check that would also see it is empty
-    unpresented = GroupAction(4, [], s4.images)
+    return GroupAction(4, [], s4.images), space, kernel_family(space, 4).matrix
+
+
+def test_kernel_outside_the_commutant_fails_equivariance_without_generators():
+    # no generator is read: the orbital mean of the diagonal (16, 4, 4, 4) / 7 is 1
+    unpresented, space, k = broken_away_from_point_0()
     with pytest.raises(PropertyViolation) as err:
         verify_kernel_properties(KernelFamily(space.id, k), space, unpresented, seed=5)
+    assert err.value.prop == "3-equivariance"
+    assert err.value.residual == pytest.approx(2 * (16 / 7 - 1))
+
+
+def test_stabilizer_fixity_is_read_at_every_point():
+    unpresented, space, k = broken_away_from_point_0()
+    oracle = stabilizer_fix_by_permutations(k, unpresented)
+    assert oracle == pytest.approx([0.0, 4 / 7, 4 / 7, 4 / 7], abs=1e-12)
+    report = verify_kernel_properties(KernelFamily(space.id, k), space, unpresented, tol=np.inf)
+    # column 1 holds (8, 4, 4, 4) / 7, and the stabilizer of 1 moves 0, 2, 3: mean 16/21
+    assert report.stabilizer_fix == pytest.approx(2 * (8 / 7 - 16 / 21))
+
+
+def test_stabilizer_fixity_fails_on_its_own_inside_the_equivariance_bound():
+    # E has zero orbital means, so the equivariance residual is 2 max|E| = 0.9e-9;
+    # the stabilizer of 0 moves 1, 2, 3, where column 0 of E holds (1, -1, -1) a
+    # with mean -a/3, so stabilizer fixity reads 2 (4a/3) = 1.2e-9 > tol
+    s4 = enumerate_group(symmetric_generators(4))
+    space = MinimalSpace(id=0, space=orthonormalize(np.ones((4, 1))), eigenvalue=0.0)
+    a = 0.45e-9
+    e = np.zeros((4, 4))
+    e[1, 0], e[2, 0], e[3, 0], e[2, 3] = 1, -1, -1, 1
+    e = a * (e + e.T)
+    k = kernel_family(space, 4).matrix + e
+    with pytest.raises(PropertyViolation) as err:
+        verify_kernel_properties(KernelFamily(0, k), space, s4, trials=0)
     assert err.value.prop == "4-stabilizer-fix"
-    assert err.value.residual == pytest.approx(4 / 7)
+    assert err.value.residual == pytest.approx(8 * a / 3, rel=1e-6)

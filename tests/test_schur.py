@@ -21,6 +21,8 @@ from ginvspaces.perm_action import (
     symmetric_generators,
 )
 from ginvspaces.schur import (
+    CHUNK_BYTES,
+    CHUNK_COPIES,
     DRAW_BYTES_CAP,
     _compressed_classes,
     _require_draw_budget,
@@ -169,7 +171,8 @@ def test_compressed_dichotomy_matches_classify_per_trial_and_pair(spec):
     n, trials, seed = action.n_points, 4, 13
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((trials, n, n)) + 1j * rng.standard_normal((trials, n, n))
-    kinds, residuals = _compressed_classes(spaces, _orbital_mean(draws, action), 1e-9)
+    averages = _orbital_mean(draws, action.orbital_labels)
+    kinds, residuals = _compressed_classes(spaces, averages, 1e-9)
     assert kinds.shape == residuals.shape == (trials, len(spaces), len(spaces))
     counts = {"zero": 0, "scalar": 0, "violation": 0}
     for t in range(trials):
@@ -189,13 +192,18 @@ def test_compressed_dichotomy_matches_classify_per_trial_and_pair(spec):
     assert (summary.violation_count == 0) == multiplicity_free(action)
 
 
-def test_draw_budget_admits_regular_symmetric_6_at_default_trials():
-    # estimator only: nothing is drawn, so no stack near the cap is allocated
-    _require_draw_budget(100, 720)
-    most = DRAW_BYTES_CAP // (720 * 720 * 16)
-    _require_draw_budget(most, 720)
-    with pytest.raises(CapExceeded, match=re.escape(f"{(most + 1) * 720 * 720 * 16:.3e} bytes")):
-        _require_draw_budget(most + 1, 720)
+def test_draw_budget_admits_regular_symmetric_6_at_200_trials():
+    # estimator only: nothing is drawn, so nothing near the cap is allocated; the
+    # (trials, r) means grow with the trials, the chunks stop growing at one step
+    n = r = 720
+    step = CHUNK_BYTES // (n * n * 16)
+    chunks = CHUNK_COPIES * step * n * n * 16
+    assert _require_draw_budget(200, n, r) == step
+    most = (DRAW_BYTES_CAP - chunks) // (r * 32)
+    _require_draw_budget(most, n, r)
+    held = (most + 1) * r * 32 + chunks
+    with pytest.raises(CapExceeded, match=re.escape(f"{held:.3e} bytes")):
+        _require_draw_budget(most + 1, n, r)
 
 
 @pytest.mark.parametrize("spec", ["regular:symmetric:3", "regular:dihedral:12", "regular:cyclic:12"])
@@ -249,3 +257,21 @@ def test_chunked_trials_never_hold_the_whole_stack(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < trials * n * n * 16 / 10
+
+
+def test_draw_budget_covers_the_traced_peak(monkeypatch):
+    # every space of regular cyclic:60 is a line, so the (chunk, k, k) arrays are
+    # chunk-sized too; 16 trials per chunk keep the fixed-size arrays small beside them
+    action = group_from_spec("regular:cyclic:60")
+    spaces = minimal_decomposition(action, seed=42)
+    n, r, trials = action.n_points, int(action.orbital_labels.max()) + 1, 400
+    monkeypatch.setattr(schur, "CHUNK_BYTES", 16 * n * n * 16)
+    # the estimate: the (trials, r) draws and means, and the chunk-sized arrays
+    held = trials * r * 32 + CHUNK_COPIES * 16 * n * n * 16
+    tracemalloc.start()
+    try:
+        dichotomy_trials(action, spaces, trials=trials, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= held

@@ -307,7 +307,7 @@ def test_array_suites_match_loop_references():
 def test_orthonormality_suite_sees_a_broken_inner_product_or_monomial(monkeypatch):
     parseval = torus._parseval
     cells = torus._cells
-    # a small box (whole Gram matrix) and a large one (blocks in a seeded order)
+    # a small box and a large one, both paired through the same 4 combinations
     for n, d in ((2, 2), (3, 4)):
         assert monomial_orthonormality_residual(n, d) == 0.0
         monkeypatch.setattr(torus, "_parseval", lambda a, b: 0.5 * parseval(a, b))
@@ -315,10 +315,8 @@ def test_orthonormality_suite_sees_a_broken_inner_product_or_monomial(monkeypatc
         monkeypatch.setattr(torus, "_parseval", parseval)
         # a cell map folding cells 2j and 2j + 1 together makes two monomials one
         monkeypatch.setattr(torus, "_cells", lambda *args, **kw: cells(*args, **kw) // 2 * 2)
-        if n == 2:
-            assert monomial_orthonormality_residual(n, d) == 1.0
-        else:  # combinations, relative to the largest diagonal entry of R.R^H
-            assert monomial_orthonormality_residual(n, d) > 0.01
+        # relative to the largest diagonal entry of R.R^H
+        assert monomial_orthonormality_residual(n, d) > 0.01
         monkeypatch.setattr(torus, "_cells", cells)
 
 
@@ -337,10 +335,11 @@ def test_large_box_orthonormality_sees_one_merged_pair_of_cells(monkeypatch, pai
     assert monomial_orthonormality_residual(3, 8) > 0.0
 
 
-def test_large_box_orthonormality_sees_a_parseval_without_conjugation(monkeypatch):
+@pytest.mark.parametrize("n, d", [(1, 0), (1, 1), (2, 2), (3, 4)])
+def test_orthonormality_sees_a_parseval_without_conjugation(monkeypatch, n, d):
     # real rows cannot tell a @ b.T from a @ b^H; the combinations are complex
     monkeypatch.setattr(torus, "_parseval", lambda a, b: a @ b.T)
-    assert monomial_orthonormality_residual(3, 4) > 0.1
+    assert monomial_orthonormality_residual(n, d) > 0.1
 
 
 def test_completeness_suite_sees_a_broken_projection(monkeypatch):
@@ -637,6 +636,21 @@ def test_torus_report_bytes_match_the_oracles(monkeypatch, capsys, n, degree):
     monkeypatch.setattr(torus, "_folded_cells", tuple_fold)
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == report
+
+
+@pytest.mark.parametrize("n, degree", [(1, 0), (2, 3), (3, 1)])
+def test_reported_torus_parameters_match_the_suites(capsys, n, degree):
+    argv = ["torus", "--n", str(n), "--degree", str(degree), "--fejer-functions", "3"]
+    assert main(argv) == EXIT_OK
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    fejer, scan = suites["fejer"], suites["separation_scan"]
+    assert fejer["degrees"] == list(torus.FEJER_DEGREES)
+    assert len(fejer["error_profiles"]) == 3
+    assert all(len(e) == len(fejer["degrees"]) for e in fejer["error_profiles"])
+    # every nonempty support against every subset of the echoed box
+    assert scan["box"] == f"n=1,d={torus.SEPARATION_SCAN_DEGREE}"
+    subsets = 2 ** (2 * torus.SEPARATION_SCAN_DEGREE + 1)
+    assert scan["pairs"] == subsets * (subsets - 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
