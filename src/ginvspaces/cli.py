@@ -67,7 +67,6 @@ _INTERNAL_ERRORS = (
 
 # seed offsets keep the per-stage random streams independent but derived
 # deterministically from the single --seed flag
-_KERNEL_SEED_OFFSET = 101
 _SCHUR_SEED_OFFSET = 211
 _STRUCTURE_SEED_OFFSET = 307
 _WITNESS_SEED_OFFSET = 401
@@ -147,11 +146,14 @@ def require_tol_above_rounding(tol: float, n_points: int) -> None:
 
 
 def resolve_group(spec: str, action_kind: str, cap: int):
-    if spec == "-":
-        spec = sys.stdin.read()
-    elif spec.endswith(".json") and os.path.isfile(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            spec = fh.read()
+    try:
+        if spec == "-":
+            spec = sys.stdin.read()
+        elif spec.endswith(".json") and os.path.isfile(spec):
+            with open(spec, "r", encoding="utf-8") as fh:
+                spec = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecParseError(f"cannot read the group spec {spec!r}: {exc}") from exc
     action = group_from_spec(spec, cap=cap)
     if action_kind == "regular":
         action = regular_action(action, cap=cap)
@@ -175,9 +177,7 @@ def run_decompose(args) -> dict:
     kernel_max = 0.0
     for s in spaces:
         family = kernel_family(s, action.n_points)
-        kreport = verify_kernel_properties(
-            family, s, action, tol=tol, seed=seed + _KERNEL_SEED_OFFSET + s.id
-        )
+        kreport = verify_kernel_properties(family, s, action, tol=tol)
         kernel_max = max(kernel_max, kreport.max_residual)
         row = asdict(kreport)
         kernel_rows.append({"id": row.pop("space_id"), **row})
@@ -505,12 +505,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path) -> None:
+def _unwritable(out_path, exc: OSError) -> SpecParseError:
+    return SpecParseError(f"cannot write the report to {out_path!r}: {exc.strerror or exc}")
+
+
+def require_writable(out_path) -> None:
+    """Open --out for appending, so a path the report cannot go to fails before any
+    stage runs; every later exit writes to it."""
     if out_path:
+        try:
+            open(out_path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise _unwritable(out_path, exc) from exc
+
+
+def _emit(text: str, out_path, code: int) -> int:
+    """Write text to out_path, or to stdout; a failed write prints its SpecParseError
+    on stdout and the exit code becomes EXIT_PARSE."""
+    if not out_path:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        sys.stdout.write(_error_payload(_unwritable(out_path, exc)))
+        return EXIT_PARSE
+    return code
 
 
 def _error_payload(exc: Exception) -> str:
@@ -528,6 +549,7 @@ def main(argv=None) -> int:
     out = None
     try:
         args = build_parser().parse_args(argv)
+        require_writable(args.out)
         out = args.out
         if args.cmd == "decompose":
             text = render_json(run_decompose(args)) + "\n"
@@ -539,17 +561,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code) if exc.code is not None else EXIT_PARSE
     except _PARSE_ERRORS as exc:
-        _emit(_error_payload(exc), out)
-        return EXIT_PARSE
+        return _emit(_error_payload(exc), out, EXIT_PARSE)
     except CapExceeded as exc:
-        _emit(_error_payload(exc), out)
-        return EXIT_CAP
+        return _emit(_error_payload(exc), out, EXIT_CAP)
     except _INTERNAL_ERRORS as exc:
-        _emit(_error_payload(exc), out)
-        return EXIT_INTERNAL
-
-    _emit(text, out)
-    return EXIT_OK
+        return _emit(_error_payload(exc), out, EXIT_INTERNAL)
+    return _emit(text, out, EXIT_OK)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import ginvspaces
 
-from ginvspaces import decomposition, torus
+from ginvspaces import cli, decomposition, torus
 from ginvspaces.cli import (
     EXIT_CAP,
     EXIT_INTERNAL,
@@ -496,6 +496,57 @@ def test_group_spec_from_file(tmp_path, capsys):
     assert json.loads(out)["group"]["order"] == 3
 
 
+def test_group_spec_file_not_utf8_is_a_parse_error(tmp_path, capsys):
+    spec = tmp_path / "bad.json"
+    spec.write_bytes(b"\xff\xfe\x00")
+    code, out = run(capsys, "decompose", "--group", str(spec))
+    assert code == EXIT_PARSE
+    error = json.loads(out)["error"]
+    assert error["type"] == "SpecParseError"
+    assert str(spec) in error["message"] and "decode" in error["message"]
+
+
+def _stage_ran(*args, **kwargs):
+    raise AssertionError("a stage ran before --out was checked")
+
+
+@pytest.mark.parametrize("command", [["decompose", "--group", "cyclic:3"], ["torus"]])
+@pytest.mark.parametrize("target", ["missing/report.json", "dir.json"])
+def test_out_that_cannot_be_written_fails_before_any_stage(monkeypatch, tmp_path, capsys,
+                                                           command, target):
+    monkeypatch.setattr(cli, "build_report", _stage_ran)
+    for name in TORUS_SUITES:
+        monkeypatch.setattr(torus, name, _stage_ran)
+    (tmp_path / "dir.json").mkdir()
+    path = tmp_path / target
+    code, out = run(capsys, *command, "--out", str(path))
+    assert code == EXIT_PARSE
+    error = json.loads(out)["error"]
+    assert error["type"] == "SpecParseError"
+    assert error["message"].startswith(f"cannot write the report to {str(path)!r}")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_report_write_failure_is_a_parse_error_on_stdout(monkeypatch, tmp_path, capsys):
+    # --out passes the check, then its directory goes away while the stages run
+    build = cli.build_report
+
+    def remove_dir_then_build(*args, **kwargs):
+        (tmp_path / "sub" / "report.json").unlink()
+        (tmp_path / "sub").rmdir()
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_report", remove_dir_then_build)
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "sub" / "report.json"
+    code, out = run(capsys, "decompose", "--group", "cyclic:3", "--out", str(target))
+    assert code == EXIT_PARSE
+    error = json.loads(out)["error"]
+    assert error == {"type": "SpecParseError",
+                     "message": f"cannot write the report to {str(target)!r}: "
+                                "No such file or directory"}
+
+
 def test_group_spec_from_stdin(monkeypatch, capsys):
     import io as _io
 
@@ -512,6 +563,41 @@ def test_render_json_float_formatting():
     assert render_json(complex(1.5, -2.0)) == "[1.5, -2]"
 
 
+# path arguments the fuzzers draw, resolved by the `paths` fixture in one temporary
+# directory: a valid spec file, a non-UTF-8 file, a directory named x.json, and
+# --out targets in that directory and in a missing one
+_SPEC_FILE, _NOT_UTF8, _DIR_JSON = "<spec.json>", "<bad.json>", "<x.json/>"
+_OUT_PRESENT, _OUT_MISSING = "<out.json>", "<missing/out.json>"
+# no --out or a writable one two times in three
+_OUT_FLAG = st.sampled_from(
+    [None, None, _OUT_PRESENT, _OUT_PRESENT, _OUT_MISSING, _DIR_JSON]
+).map(lambda p: p and ["--out", p])
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv-paths")
+    (root / "spec.json").write_text('{"points": 4, "generators": [[1, 2, 3, 0]]}')
+    (root / "bad.json").write_bytes(b"\xff\xfe\x00")
+    (root / "x.json").mkdir()
+    return {_SPEC_FILE: root / "spec.json", _NOT_UTF8: root / "bad.json",
+            _DIR_JSON: root / "x.json", _OUT_PRESENT: root / "out.json",
+            _OUT_MISSING: root / "missing" / "out.json"}
+
+
+def run_resolved(argv, paths):
+    """`main` on argv with its path placeholders resolved: the exit code and the one
+    text written, to stdout or to the --out file."""
+    report = paths[_OUT_PRESENT]
+    report.unlink(missing_ok=True)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([str(paths.get(a, a)) for a in argv])
+    written = report.read_text() if report.exists() else ""
+    assert not (written and out.getvalue())
+    return code, written or out.getvalue()
+
+
 def _maybe_garbage(valid, garbage):
     """Mostly valid draws, with garbage one time in four."""
     return st.integers(0, 3).flatmap(lambda r: st.sampled_from(garbage) if r == 0 else valid)
@@ -521,7 +607,8 @@ def _maybe_garbage(valid, garbage):
 def torus_argvs(draw):
     """A torus argv over ranges reaching past every bound, and its numeric fields.
     --monomials terms "k1,..,kj:c" usually have n indices; garbage may replace an
-    index, a coefficient, the index count or the whole term."""
+    index, a coefficient, the index count or the whole term. --out, if drawn, is one
+    of the targets of `paths`."""
     n = draw(_maybe_garbage(st.integers(1, 3), [-1, 0, 4]))
     degree = draw(_maybe_garbage(st.integers(0, 4), [-1, 17] + list(range(5, 17))))
     trials = [draw(_maybe_garbage(st.integers(1, 3), [-1, 0])) for _ in range(3)]
@@ -548,6 +635,7 @@ def torus_argvs(draw):
         argv.append("--check-polydisc")
     if monomials is not None:
         argv.append(f"--monomials={monomials}")  # the = form: a term may start with "-"
+    argv += draw(_OUT_FLAG) or []
     numbers_valid = (
         1 <= n <= 3 and 0 <= degree <= 16 and min(trials) >= 0 and trials[1] >= 1
         and (fejer is None or fejer >= 0)
@@ -557,13 +645,11 @@ def torus_argvs(draw):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(torus_argvs())
-def test_torus_argvs_give_a_report_or_a_json_error(drawn):
+def test_torus_argvs_give_a_report_or_a_json_error(paths, drawn):
     argv, n, degree, numbers_valid, has_monomials = drawn
     assume(not (numbers_valid and degree > 4))  # keeps every report on a small box
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    payload = json.loads(out.getvalue())
+    code, text = run_resolved(argv, paths)
+    payload = json.loads(text)
     if code == EXIT_OK:
         assert numbers_valid
         assert payload["params"]["n"] == n and payload["params"]["degree"] == degree
@@ -613,12 +699,14 @@ def _flag(name, valid, garbage):
 @st.composite
 def group_argvs(draw):
     """A decompose or survey argv on groups of at most 8 points, with garbage
-    specs, ranges and flag values, --tol down past the rounding floor, and
-    negative trial counts."""
+    specs, ranges and flag values, --tol down past the rounding floor, negative
+    trial counts, and the spec files and --out targets of `paths`."""
     command = draw(st.sampled_from(["decompose", "survey"]))
     if command == "decompose":
-        argv = ["decompose", "--group", draw(_maybe_garbage(st.sampled_from(_SMALL_GROUPS),
-                                                            _BAD_SPECS))]
+        groups = _maybe_garbage(st.sampled_from(_SMALL_GROUPS), _BAD_SPECS)
+        # a path one time in four
+        argv = ["decompose", "--group",
+                draw(_maybe_garbage(groups, [_SPEC_FILE, _NOT_UTF8, _DIR_JSON]))]
         trials = st.integers(0, 2)
         flags = [_flag("--schur-trials", trials, ["-1", "x", "1.5"]),
                  _flag("--structure-trials", trials, ["-3", "x"])]
@@ -634,18 +722,15 @@ def group_argvs(draw):
         _flag("--seed", st.integers(0, 5), ["-1", "x"]),
         _flag("--max-group-order", st.just(20000), ["0", "1", "5", "x"]),
     ]
-    for flag in flags:
+    for flag in [*flags, _OUT_FLAG]:
         argv += draw(flag) or []
     return argv
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(group_argvs())
-def test_group_argvs_give_a_report_or_a_json_error(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    text = out.getvalue()
+def test_group_argvs_give_a_report_or_a_json_error(paths, argv):
+    code, text = run_resolved(argv, paths)
     if code != EXIT_OK:
         assert code in (EXIT_PARSE, EXIT_CAP, EXIT_INTERNAL)
         assert json.loads(text)["error"]["type"]

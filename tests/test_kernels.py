@@ -58,7 +58,7 @@ def test_kernel_properties_hold(gens):
     action, spaces = decompose(gens)
     for s in spaces:
         fam = kernel_family(s, action.n_points)
-        report = verify_kernel_properties(fam, s, action, seed=7 + s.id)
+        report = verify_kernel_properties(fam, s, action)
         assert report.max_residual <= 1e-9
         # trace oracle for the diagonal law
         assert report.diagonal_value == pytest.approx(np.trace(s.projector).real, abs=1e-9)
@@ -69,7 +69,7 @@ def test_s3_two_dimensional_space_has_diagonal_two():
     action, spaces = decompose(symmetric_generators(3))
     std = next(s for s in spaces if s.dim == 2)
     fam = kernel_family(std, 3)
-    report = verify_kernel_properties(fam, std, action, seed=3)
+    report = verify_kernel_properties(fam, std, action)
     assert report.diagonal_value == pytest.approx(2.0, abs=1e-9)
 
 
@@ -112,24 +112,47 @@ def test_property_violation_raised_for_corrupted_family():
     s = spaces[0]
     bad = KernelFamily(space_id=s.id, matrix=kernel_family(s, 3).matrix + 1e-3)
     with pytest.raises(PropertyViolation) as err:
-        verify_kernel_properties(bad, s, action, seed=1)
+        verify_kernel_properties(bad, s, action)
     assert err.value.residual > 1e-9
 
 
 def test_family_changed_inside_the_commutant_violates_only_membership():
-    # 4(P_a - P_b) for two other characters of C4 lies in the commutant and has a
-    # zero diagonal, so without random trials the only identity it can break is
-    # membership: K + 4(P_a - P_b) is Hermitian, invariant, with diagonal 1
+    # 4(P_a - P_b) for two other characters of C4 lies in the commutant, has a zero
+    # diagonal and vanishes on the space, so the only identity it can break is
+    # membership: K + 4(P_a - P_b) is Hermitian, invariant, reproduces the basis,
+    # with diagonal 1
     c4 = enumerate_group(cyclic_generators(4))
     lines = [orthonormalize((1j ** (j * np.arange(4)))[:, None]) for j in range(3)]
     space = MinimalSpace(id=0, space=lines[1], eigenvalue=0.0)
     k = kernel_family(space, 4).matrix + 4 * (projector(lines[0]) - projector(lines[2]))
     with pytest.raises(PropertyViolation) as err:
-        verify_kernel_properties(KernelFamily(0, k), space, c4, trials=0)
+        verify_kernel_properties(KernelFamily(0, k), space, c4)
     assert err.value.prop == "membership"
     assert err.value.residual == pytest.approx(max_abs(k - projector(space.space) @ k))
-    report = verify_kernel_properties(KernelFamily(0, k), space, c4, trials=0, tol=np.inf)
+    report = verify_kernel_properties(KernelFamily(0, k), space, c4, tol=np.inf)
     assert report.max_residual == report.membership == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("spec", ["symmetric:3", "symmetric:4", "regular:symmetric:3"])
+def test_family_changed_only_inside_the_space_violates_reproduction(spec):
+    # nP + eps V B V^H with B Hermitian keeps K Hermitian with columns in the space,
+    # so symmetry and membership hold; only the basis reproduction can see it
+    action = group_from_spec(spec)
+    n, eps = action.n_points, 1e-6
+    rng = np.random.default_rng(3)
+    for s in minimal_decomposition(action, seed=42):
+        if s.dim < 2:
+            continue
+        v = s.space.basis
+        b = rng.standard_normal((s.dim, s.dim)) + 1j * rng.standard_normal((s.dim, s.dim))
+        b = b + b.conj().T
+        k = kernel_family(s, n).matrix + eps * v @ b @ v.conj().T
+        with pytest.raises(PropertyViolation) as err:
+            verify_kernel_properties(KernelFamily(s.id, k), s, action)
+        assert err.value.prop == "2-reproduction"
+        assert err.value.residual == pytest.approx(eps * max_abs(v @ b) / n, rel=1e-6)
+        report = verify_kernel_properties(KernelFamily(s.id, k), s, action, tol=np.inf)
+        assert max(report.symmetry, report.membership) <= 1e-12
 
 
 def test_kernel_family_shape_mismatch():
@@ -185,7 +208,7 @@ def test_kernel_outside_the_commutant_fails_equivariance_without_generators():
     # no generator is read: the orbital mean of the diagonal (16, 4, 4, 4) / 7 is 1
     unpresented, space, k = broken_away_from_point_0()
     with pytest.raises(PropertyViolation) as err:
-        verify_kernel_properties(KernelFamily(space.id, k), space, unpresented, seed=5)
+        verify_kernel_properties(KernelFamily(space.id, k), space, unpresented)
     assert err.value.prop == "3-equivariance"
     assert err.value.residual == pytest.approx(2 * (16 / 7 - 1))
 
@@ -211,6 +234,6 @@ def test_stabilizer_fixity_fails_on_its_own_inside_the_equivariance_bound():
     e = a * (e + e.T)
     k = kernel_family(space, 4).matrix + e
     with pytest.raises(PropertyViolation) as err:
-        verify_kernel_properties(KernelFamily(0, k), space, s4, trials=0)
+        verify_kernel_properties(KernelFamily(0, k), space, s4)
     assert err.value.prop == "4-stabilizer-fix"
     assert err.value.residual == pytest.approx(8 * a / 3, rel=1e-6)

@@ -259,15 +259,18 @@ def test_chunked_trials_never_hold_the_whole_stack(monkeypatch):
     assert peak < trials * n * n * 16 / 10
 
 
-def test_draw_budget_covers_the_traced_peak(monkeypatch):
+@pytest.mark.parametrize("spec", ["regular:cyclic:60", "regular:symmetric:4"])
+def test_draw_budget_covers_the_traced_peak(monkeypatch, spec):
     # every space of regular cyclic:60 is a line, so the (chunk, k, k) arrays are
     # chunk-sized too; 16 trials per chunk keep the fixed-size arrays small beside them
-    action = group_from_spec("regular:cyclic:60")
+    action = group_from_spec(spec)
     spaces = minimal_decomposition(action, seed=42)
     n, r, trials = action.n_points, int(action.orbital_labels.max()) + 1, 400
-    monkeypatch.setattr(schur, "CHUNK_BYTES", 16 * n * n * 16)
+    chunk = 16 * n * n * 16
+    monkeypatch.setattr(schur, "CHUNK_BYTES", chunk)
     # the estimate: the (trials, r) draws and means, and the chunk-sized arrays
-    held = trials * r * 32 + CHUNK_COPIES * 16 * n * n * 16
+    draws = trials * r * 32
+    held = draws + CHUNK_COPIES * chunk
     tracemalloc.start()
     try:
         dichotomy_trials(action, spaces, trials=trials, seed=1)
@@ -275,3 +278,7 @@ def test_draw_budget_covers_the_traced_peak(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= held
+    if spec == "regular:symmetric:4":
+        # 10 spaces on 24 points: the (chunk, k, k) arrays are small, and the diagonal
+        # shift of C is in place, so the averages, W^H avg and C set the peak
+        assert peak - draws <= 4 * chunk
