@@ -3,6 +3,7 @@ kernels, the intertwiner dichotomy, invariant-subspace structure verification,
 and a truncated Fourier model of the torus."""
 
 from .decomposition import (
+    Frame,
     GCollectionReport,
     MinimalSpace,
     RepOperator,
@@ -11,6 +12,7 @@ from .decomposition import (
     build_report,
     check_star,
     commutant_basis,
+    frame,
     h_space,
     is_minimal,
     minimal_decomposition,

@@ -171,7 +171,7 @@ def run_decompose(args) -> dict:
     seed, tol = args.seed, args.tol
 
     report = build_report(action, seed=seed, tol=tol)
-    spaces = list(report.spaces)
+    spaces = report.spaces
 
     kernel_rows = []
     kernel_max = 0.0
@@ -323,18 +323,7 @@ def run_survey(args) -> dict:
 
 def survey_csv(payload: dict) -> str:
     buf = io.StringIO()
-    fields = [
-        "family",
-        "n",
-        "action",
-        "group_order",
-        "points",
-        "n_spaces",
-        "dims",
-        "multiplicity_free",
-        "star_all_ones",
-        "verdict",
-    ]
+    fields = list(payload["rows"][0])  # run_survey's row keys, in order
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields)
     for row in payload["rows"]:

@@ -15,18 +15,21 @@ basis, and for a transitive action it holds exactly when Gamma = I.
 Invariance has one check, 2 max|P - M| with M the orbital mean of P: it bounds
 |P[g.x, g.y] - P[x, y]| over every group element g and every pair of points;
 the reported equivariance residual is that bound, the largest over the spaces.
+A decomposition is one `Frame`: the spaces, their stacked basis W = [V_1 ... V_k]
+and Gamma, built once and read by every check that relates the spaces.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InternalInconsistency, MinimalityFailure
 from .linalg import DEFAULT_TOL, EIG_CLUSTER_TOL, Subspace, bin_sums, block_max_abs
-from .linalg import hermitian_eig, max_abs, projector, stacked_bases
+from .linalg import hermitian_eig, max_abs, projector
 from .perm_action import GroupAction, stabilizer, subgroup_point_orbits
 
 VERDICT_G_COLLECTION = "GCollection"
@@ -67,11 +70,27 @@ class MinimalSpace:
         return projector(self.space)
 
 
+@dataclass(frozen=True, eq=False)
+class Frame(Sequence):
+    """Minimal spaces (the sequence), stacked basis W, block starts, and Gamma."""
+
+    spaces: tuple
+    basis: np.ndarray
+    starts: np.ndarray
+    gram: np.ndarray
+
+    def __getitem__(self, i):
+        return self.spaces[i]
+
+    def __len__(self) -> int:
+        return len(self.spaces)
+
+
 @dataclass(frozen=True)
 class GCollectionReport:
     """Verdicts and residuals for the decomposition of one action."""
 
-    spaces: tuple
+    spaces: Frame
     completeness_residual: float
     orthogonality_residual: float
     equivariance_residual: float
@@ -140,16 +159,24 @@ def _invariance_residual(a: np.ndarray, labels: np.ndarray) -> float:
     return 2 * max_abs(a - _orbital_mean(a, labels))
 
 
-def character_gram(spaces, action: GroupAction) -> np.ndarray:
-    """Gamma_ij = <chi_i, chi_j> = dim Hom_G(H_i, H_j) for invariant spaces H_i.
+def frame(spaces, action: GroupAction) -> Frame:
+    """The spaces, in the given order, with their stacked basis and Gamma."""
+    spaces = tuple(spaces)
+    starts = np.cumsum([0] + [s.dim for s in spaces[:-1]])
+    w = np.concatenate([s.space.basis for s in spaces], axis=1)
+    w.setflags(write=False)
+    return Frame(spaces, w, starts, character_gram(w, starts, action))
+
+
+def character_gram(w: np.ndarray, starts, action: GroupAction) -> np.ndarray:
+    """Gamma_ij = <chi_i, chi_j> = dim Hom_G(H_i, H_j), H_i spanned by w's block i.
 
     Each P_i lies in the commutant, so P_i[x, y] = c_i[label(x, y)], read off
     row 0, which every orbital meets. Then chi_i(g) = tr(L_g P_i) =
     sum_k N[g, k] c_i[k] with N[g, k] = #{x : label(g.x, x) = k}.
     """
     labels = action.orbital_labels
-    r, k, g = int(labels.max()) + 1, len(spaces), action.order
-    w, starts = stacked_bases([s.space for s in spaces])
+    r, k, g = int(labels.max()) + 1, len(starts), action.order
     rows = np.add.reduceat(w[0] * w.conj(), starts, axis=1)  # rows[y, i] = P_i[0, y]
     bins = (labels[0][:, None] * k + np.arange(k)).ravel()
     c = bin_sums(bins, rows, r * k).reshape(r, k) / np.bincount(labels[0])[:, None]
@@ -160,7 +187,7 @@ def character_gram(spaces, action: GroupAction) -> np.ndarray:
 
 def is_minimal(space: MinimalSpace, action: GroupAction, tol: float = DEFAULT_TOL) -> bool:
     """True iff the (invariant) space has <chi, chi> = 1: only scalar self-intertwiners."""
-    return abs(character_gram([space], action)[0, 0] - 1) <= tol
+    return abs(character_gram(space.space.basis, [0], action)[0, 0] - 1) <= tol
 
 
 def multiplicity_free(action: GroupAction) -> bool:
@@ -176,8 +203,8 @@ def multiplicity_free(action: GroupAction) -> bool:
     return all(np.array_equal(a[labels[0]] @ b[labels], b[labels[0]] @ a[labels]) for a, b in draws)
 
 
-def minimal_decomposition(action: GroupAction, seed: int = 42, tol: float = DEFAULT_TOL) -> list:
-    """Minimal invariant subspaces from a generic commutant element.
+def minimal_decomposition(action: GroupAction, seed: int = 42, tol: float = DEFAULT_TOL) -> Frame:
+    """Minimal invariant subspaces from a generic commutant element, as one `Frame`.
 
     A cluster failing invariance or minimality means the random element landed
     on a degeneracy; the draw is retried with fresh seeds up to `RETRIES` times.
@@ -186,7 +213,7 @@ def minimal_decomposition(action: GroupAction, seed: int = 42, tol: float = DEFA
 
 
 def _decompose(action: GroupAction, seed: int, tol: float) -> tuple:
-    """(spaces, completeness, orthogonality, equivariance, Gamma) of the first draw to pass."""
+    """(frame, completeness, orthogonality, equivariance) of the first draw to pass."""
     last = None
     for attempt in range(RETRIES):
         try:
@@ -226,12 +253,11 @@ def _decompose_once(action: GroupAction, seed: int, tol: float) -> tuple:
             lo = i
 
     ordered = sorted(candidates, key=functools.cmp_to_key(_compare_candidates))
-    spaces = [replace(s, id=i) for i, (s, _) in enumerate(ordered)]
-    gram = character_gram(spaces, action)
-    _certify("character Gram diagonal", max_abs(np.diagonal(gram) - 1), tol)
+    spaces = frame([replace(s, id=i) for i, (s, _) in enumerate(ordered)], action)
+    _certify("character Gram diagonal", max_abs(np.diagonal(spaces.gram) - 1), tol)
     completeness = _certify("completeness", completeness_residual(spaces, n), tol)
     orthogonality = _certify("orthogonality", orthogonality_residual(spaces), tol)
-    return spaces, completeness, orthogonality, equivariance, gram
+    return spaces, completeness, orthogonality, equivariance
 
 
 def first_support_index(p: np.ndarray, tol: float = _FINGERPRINT_TOL) -> int:
@@ -289,10 +315,10 @@ def check_star(spaces, action: GroupAction, tol: float = DEFAULT_TOL) -> np.ndar
     holds iff all entries equal 1.
     """
     row = action.orbital_labels[0]
-    w, starts = stacked_bases([s.space for s in spaces])
     sizes = np.bincount(row)
-    sums = np.add.reduceat(w[np.argsort(row, kind="stable")], np.cumsum(sizes) - sizes, axis=0)
-    traces = np.add.reduceat(np.sum(np.abs(sums) ** 2 / sizes[:, None], axis=0), starts)
+    order = np.argsort(row, kind="stable")
+    sums = np.add.reduceat(spaces.basis[order], np.cumsum(sizes) - sizes, axis=0)
+    traces = np.add.reduceat(np.sum(np.abs(sums) ** 2 / sizes[:, None], axis=0), spaces.starts)
     dims = np.rint(traces)
     bad = np.flatnonzero((dims == 0) | (np.abs(traces - dims) > tol))
     if bad.size:
@@ -304,15 +330,15 @@ def check_star(spaces, action: GroupAction, tol: float = DEFAULT_TOL) -> np.ndar
     return np.repeat(dims.astype(int)[:, None], action.n_points, axis=1)
 
 
-def completeness_residual(spaces, n_points: int) -> float:
+def completeness_residual(spaces: Frame, n_points: int) -> float:
     """max |W W^H - I|: the projectors P_i = V_i V_i^H sum to W W^H."""
-    w, _ = stacked_bases([s.space for s in spaces])
+    w = spaces.basis
     return max_abs(w @ w.conj().T - np.eye(n_points))
 
 
-def orthogonality_residual(spaces) -> float:
+def orthogonality_residual(spaces: Frame) -> float:
     """Largest entry of the off-diagonal Gram blocks V_i^H V_j."""
-    w, starts = stacked_bases([s.space for s in spaces])
+    w, starts = spaces.basis, spaces.starts
     blocks = block_max_abs(w.conj().T @ w, starts, starts)
     np.fill_diagonal(blocks, 0.0)
     return float(blocks.max())
@@ -320,12 +346,12 @@ def orthogonality_residual(spaces) -> float:
 
 def build_report(action: GroupAction, seed: int = 42, tol: float = DEFAULT_TOL) -> GCollectionReport:
     """Assemble the decomposition, residuals, star table, and verdict."""
-    spaces, completeness, orthogonality, equivariance, gram = _decompose(action, seed, tol)
+    spaces, completeness, orthogonality, equivariance = _decompose(action, seed, tol)
     mf = multiplicity_free(action)
     star = check_star(spaces, action, tol)
     # each star entry is the multiplicity of its space's isotype, a row sum of
     # Gamma; the multiplicities square-sum to dim of the commutant, r
-    mult = np.rint(gram.real).sum(axis=1).astype(int)
+    mult = np.rint(spaces.gram.real).sum(axis=1).astype(int)
     r = int(action.orbital_labels.max()) + 1
     if (star != mult[:, None]).any() or mult.sum() != r or bool((mult == 1).all()) != mf:
         raise InternalInconsistency(
@@ -334,7 +360,7 @@ def build_report(action: GroupAction, seed: int = 42, tol: float = DEFAULT_TOL) 
         )
     verdict = VERDICT_G_COLLECTION if mf else VERDICT_NOT_UNIQUE
     return GCollectionReport(
-        spaces=tuple(spaces),
+        spaces=spaces,
         completeness_residual=completeness,
         orthogonality_residual=orthogonality,
         equivariance_residual=equivariance,

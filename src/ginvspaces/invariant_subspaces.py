@@ -6,8 +6,9 @@ sum over the group); its signature is the set of minimal spaces it meets, and
 the structure verification asserts that it equals the direct sum over its
 signature. When two minimal spaces are isomorphic the equality can fail, and
 the twisted-diagonal construction produces a deliberate witness of that.
-Signatures are blocks of W^H V_y for the stacked basis W = [V_1 ... V_k],
-and the exhaustive round trip reads every subset off one overlap matrix of W^H W.
+The minimal spaces come as a `decomposition.Frame`, with stacked basis W:
+signatures are blocks of W^H V_y, direct sums are blocks of W, the twisted
+diagonal reads the frame's Gamma, and the round trip reads W^H W.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import _invariance_residual, _orbital_mean, character_gram, multiplicity_free
+from .decomposition import Frame, _invariance_residual, _orbital_mean, multiplicity_free
 from .errors import InternalInconsistency, StructureFailure
 from .linalg import DEFAULT_TOL, Subspace, block_max_abs, max_abs, orthonormalize, projector
-from .linalg import stacked_bases, subspace_equal
+from .linalg import subspace_equal
 from .perm_action import GroupAction
 from .schur import group_average
 
@@ -81,34 +82,28 @@ def orbit_span(vectors, action: GroupAction, tol: float = DEFAULT_TOL) -> Subspa
     return sub
 
 
-def signature(y: Subspace, spaces, tol: float = DEFAULT_TOL) -> SignatureSet:
+def signature(y: Subspace, spaces: Frame, tol: float = DEFAULT_TOL) -> SignatureSet:
     """Ids of the minimal spaces with nonvanishing projection of y."""
-    if not spaces or y.rank == 0:
+    if y.rank == 0:
         return SignatureSet(omega=())
-    w, starts = stacked_bases([s.space for s in spaces])
-    meets = block_max_abs(w.conj().T @ y.basis, starts, [0])[:, 0] > tol
+    meets = block_max_abs(spaces.basis.conj().T @ y.basis, spaces.starts, [0])[:, 0] > tol
     return SignatureSet(omega=tuple(sorted(s.id for s, hit in zip(spaces, meets) if hit)))
 
 
-def direct_sum(omega, spaces) -> Subspace:
-    """Concatenation of the (mutually orthogonal) bases of the selected spaces."""
-    by_id = {s.id: s for s in spaces}
-    ids = sorted(omega.omega if isinstance(omega, SignatureSet) else omega)
-    if not spaces:
-        raise ValueError("need at least one space to fix the ambient dimension")
-    unknown = [i for i in ids if i not in by_id]
+def direct_sum(omega, spaces: Frame) -> Subspace:
+    """The (mutually orthogonal) columns of W that belong to the selected spaces."""
+    ids = set(omega.omega if isinstance(omega, SignatureSet) else omega)
+    unknown = sorted(ids - {s.id for s in spaces})
     if unknown:
         raise ValueError(f"ids {unknown} are not in the decomposition")
-    ambient = spaces[0].space.ambient_dim
+    chosen = np.repeat([s.id in ids for s in spaces], [s.dim for s in spaces])
     tol = max(s.space.tol for s in spaces)
-    chosen = [by_id[i].space for i in ids]
-    basis = stacked_bases(chosen)[0] if chosen else np.zeros((ambient, 0), dtype=complex)
-    return Subspace(ambient, basis, tol)
+    return Subspace(spaces.basis.shape[0], spaces.basis[:, chosen], tol)
 
 
 def verify_structure(
     action: GroupAction,
-    spaces,
+    spaces: Frame,
     trials: int = 50,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
@@ -157,7 +152,7 @@ def verify_structure(
 
 def twisted_diagonal_witness(
     action: GroupAction,
-    spaces,
+    spaces: Frame,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> StructureWitness | None:
@@ -168,7 +163,7 @@ def twisted_diagonal_witness(
     over its signature. The pair is the first i < j with Gamma_ij >= 1; returns
     None when Gamma is diagonal (the multiplicity-free case).
     """
-    pairs = np.argwhere(np.triu(np.rint(character_gram(spaces, action).real), 1) >= 1)
+    pairs = np.argwhere(np.triu(np.rint(spaces.gram.real), 1) >= 1)
     if not pairs.size:
         return None
     i, j = pairs[0]
@@ -191,7 +186,7 @@ def twisted_diagonal_witness(
     )
 
 
-def signature_roundtrip_exhaustive(spaces, tol: float = DEFAULT_TOL):
+def signature_roundtrip_exhaustive(spaces: Frame, tol: float = DEFAULT_TOL):
     """Check signature(direct_sum(omega)) == omega for every subset.
 
     Returns (ok, n_subsets). A passing round trip makes the subset-to-subspace
@@ -201,7 +196,7 @@ def signature_roundtrip_exhaustive(spaces, tol: float = DEFAULT_TOL):
     if len(ids) > 12:
         raise ValueError("exhaustive check is limited to 12 spaces")
     direct_sum(ids, spaces)  # raises ValueError unless the full sum is orthonormal
-    w, starts = stacked_bases([s.space for s in spaces])
+    w, starts = spaces.basis, spaces.starts
     meets = block_max_abs(w.conj().T @ w, starts, starts) > tol
     # row m is subset m; its direct sum meets exactly the spaces overlapping a member
     masks = (np.arange(2 ** len(ids))[:, None] >> np.arange(len(ids))) & 1

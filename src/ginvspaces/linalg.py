@@ -5,8 +5,8 @@ function-space inner product carries the uniform weight 1/n, and that weight
 is a scalar multiple of the identity, orthogonal projectors, complements and
 intersections coincide with their unweighted counterparts; the weight only
 resurfaces in kernel normalization and in reported inner-product values.
-Bases are orthonormalized by one thin SVD, and collections of subspaces are
-related through their stacked basis W = [V_1 ... V_k] and its blocks.
+Bases are orthonormalized by one thin SVD, and products with a stacked basis
+W = [V_1 ... V_k] (`decomposition.Frame`) are reduced block by block.
 """
 
 from __future__ import annotations
@@ -97,14 +97,6 @@ def orthonormalize(vectors, tol: float = DEFAULT_TOL) -> Subspace:
         raise ValueError("expected a 2-d array of column vectors")
     u, s, _ = np.linalg.svd(v, full_matrices=False)
     return Subspace(v.shape[0], u[:, s > tol * max(1.0, s.max(initial=0.0))], tol)
-
-
-def stacked_bases(subspaces):
-    """W = [V_1 ... V_k] and the first column of each basis in W; block (i, j) of
-    W^H X W is V_i^H X V_j, so every cross-space check is one product with W."""
-    bases = [s.basis for s in subspaces]
-    starts = np.cumsum([0] + [b.shape[1] for b in bases[:-1]])
-    return np.concatenate(bases, axis=1), starts
 
 
 def block_max_abs(m, row_starts, col_starts) -> np.ndarray:

@@ -327,8 +327,9 @@ def group_from_spec(spec, cap: int = DEFAULT_CAP) -> GroupAction:
 
 
 def _group_from_mapping(payload, cap: int) -> GroupAction:
-    if not isinstance(payload, dict) or "points" not in payload or "generators" not in payload:
-        raise SpecParseError('group JSON needs "points" and "generators"')
+    if not isinstance(payload, dict) or set(payload) != {"points", "generators"}:
+        keys = sorted(map(str, payload)) if isinstance(payload, dict) else type(payload).__name__
+        raise SpecParseError(f'group JSON needs exactly "points" and "generators", not {keys}')
     n = payload["points"]
     gens = payload["generators"]
     # JSON true/false parse to bool, a subclass of int

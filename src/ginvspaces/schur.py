@@ -8,7 +8,7 @@ often, so it is computed as the mean of B over that orbital, read off the
 action's orbital-label matrix without touching the group elements.
 The projectors lie in the commutant, so avg(P_j A P_i) = P_j avg(A) P_i: the
 trials average each seeded random operator once and read every pair
-i -> j off block (j, i) of W^H avg(A) W, W = [V_1 ... V_k] the stacked basis.
+i -> j off block (j, i) of W^H avg(A) W, W = [V_1 ... V_k] the `Frame`'s basis.
 For iid standard complex Gaussian entries, the mean over orbital k (s_k pairs)
 has variance 1/s_k in each part, independent across orbitals: a trial draws its
 r orbital means, never A, and the averages are expanded in chunks.
@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import MinimalSpace, _orbital_mean
+from .decomposition import Frame, MinimalSpace, _orbital_mean
 from .errors import CapExceeded
-from .linalg import DEFAULT_TOL, block_max_abs, max_abs, stacked_bases, subspace_equal
+from .linalg import DEFAULT_TOL, block_max_abs, max_abs, subspace_equal
 from .perm_action import GroupAction
 
 # Bytes dichotomy_trials may hold, by `_require_draw_budget`'s estimate, before it
@@ -89,12 +89,12 @@ def classify_intertwiner(
     return IntertwinerClass(kind="violation", constant=None, residual=norm)
 
 
-def _compressed_classes(spaces, averages: np.ndarray, tol: float):
+def _compressed_classes(spaces: Frame, averages: np.ndarray, tol: float):
     """`classify_intertwiner` kinds (0 zero, 1 scalar, 2 violation) and residuals,
     (trials, k, k), of the pair i -> j at (t, j, i) from the averaged operators
     avg(A_t): block (j, i) of W^H avg(A_t) W, zero within tol, and scalar on the
     diagonal when C_ii - (trace C_ii / d_i) I is."""
-    w, starts = stacked_bases([s.space for s in spaces])
+    w, starts = spaces.basis, spaces.starts
     c = w.conj().T @ averages @ w
     norms = block_max_abs(c, starts, starts)
     dims = np.array([s.dim for s in spaces])
@@ -125,7 +125,7 @@ def _require_draw_budget(trials: int, n: int, r: int) -> int:
 
 def dichotomy_trials(
     action: GroupAction,
-    spaces,
+    spaces: Frame,
     trials: int = 100,
     seed: int = 0,
     tol: float = DEFAULT_TOL,

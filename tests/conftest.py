@@ -20,9 +20,10 @@ def _load(name: str):
 
 @pytest.fixture(scope="session")
 def perfbench():
-    """The benchmark's workload list, report checker and recorded invariants."""
+    """The benchmark's workload list, report checker, span tracer and recorded invariants."""
     return SimpleNamespace(
         workloads=_load("workloads"),
         check=_load("check"),
+        spans=_load("spans"),
         expected=json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8")),
     )

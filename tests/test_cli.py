@@ -346,6 +346,55 @@ def test_decompose_run_leaves_numpy_ma_unimported(tmp_path, spec, n_spaces):
     assert json.loads((tmp_path / "report.json").read_text())["decomposition"]["n_spaces"] == n_spaces
 
 
+def _exact_fields(report: dict) -> dict:
+    """The report fields that no change in floating-point rounding may move."""
+    dec, schur, structure = report["decomposition"], report["schur"], report["structure"]
+    witness = structure["twisted_diagonal_witness"]
+    return {
+        "dims": dec["dims"],
+        "star_table": dec["star_table"],
+        "verdict": dec["verdict"],
+        "first_support": [s["first_support"] for s in dec["spaces"]],
+        "counts": [schur[k] for k in ("pairs", "trials_per_pair", "zero", "scalar", "violation")]
+        + [structure["trials"], structure["passes"], len(structure["failures"])]
+        + [structure["injectivity"]["subsets"], structure["injectivity"]["ok"]],
+        "witness": witness and [witness["omega"], witness["dim_subspace"], witness["dim_direct_sum"]],
+    }
+
+
+def _float_gaps(a, b) -> list:
+    """|a - b| for every pair of leaves of two same-shaped reports that differ; a
+    differing leaf must be a float on one side (17 digits render 4.0 as 4)."""
+    if isinstance(a, dict):
+        assert list(a) == list(b)
+        return [gap for k in a for gap in _float_gaps(a[k], b[k])]
+    if isinstance(a, list):
+        assert len(a) == len(b)
+        return [gap for x, y in zip(a, b) for gap in _float_gaps(x, y)]
+    if a == b:
+        return []
+    assert float in (type(a), type(b)), (a, b)
+    return [abs(a - b)]
+
+
+def test_report_floats_alone_move_with_the_blas_thread_count():
+    # BLAS sums in another order at another thread count, so residuals, kernel rows and
+    # the witness residual may change in the last bits; at n = 120 they do
+    argv = ["decompose", "--group", "regular:symmetric:5", "--schur-trials", "5",
+            "--structure-trials", "5"]
+    src = str(Path(ginvspaces.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "ginvspaces.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=300, check=True)
+        reports.append(json.loads(done.stdout))
+    one, two = reports
+    assert _exact_fields(one) == _exact_fields(two)
+    assert max(_float_gaps(one, two), default=0.0) <= one["params"]["tol"]
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -362,6 +411,26 @@ def test_json_booleans_rejected_in_group_spec(capsys, spec):
     code, out = run(capsys, "decompose", "--group", spec)
     assert code == EXIT_PARSE
     assert json.loads(out)["error"]["type"] == "SpecParseError"
+
+
+@pytest.mark.parametrize(
+    "spec, keys",
+    [
+        ('{"points": 3, "generators": [[1,2,0]], "generatorz": [[0,2,1]]}',
+         "['generators', 'generatorz', 'points']"),
+        ('{"points": 3, "generators": [[1,2,0]], "cap": 10}', "['cap', 'generators', 'points']"),
+        ('{"points": 3}', "['points']"),
+    ],
+    ids=["misspelled-generators", "extra-key", "missing-generators"],
+)
+def test_json_spec_with_unknown_or_missing_keys_names_them(capsys, spec, keys):
+    # a misspelled key used to be dropped, and the rest of the spec decomposed
+    code, out = run(capsys, "decompose", "--group", spec)
+    assert code == EXIT_PARSE
+    assert json.loads(out)["error"] == {
+        "type": "SpecParseError",
+        "message": f'group JSON needs exactly "points" and "generators", not {keys}',
+    }
 
 
 @pytest.mark.parametrize("family", ["cyclic", "dihedral"])
@@ -437,7 +506,7 @@ def test_property_violation_payload_carries_prop_and_residual(monkeypatch, capsy
         # cyclic:3 spaces are lines with |P[x, y]| = 1/3: 2n max|P - 0| = 2
         ("_orbital_mean", lambda p, labels: np.zeros_like(p),
          "cluster commutant residual 2.000e+00"),
-        ("character_gram", lambda spaces, action: 1.25 * np.eye(len(spaces)),
+        ("character_gram", lambda w, starts, action: 1.25 * np.eye(len(starts)),
          "character Gram diagonal residual 2.500e-01"),
         ("completeness_residual", lambda *a: 0.25, "completeness residual 2.500e-01"),
         ("orthogonality_residual", lambda *a: 0.25, "orthogonality residual 2.500e-01"),

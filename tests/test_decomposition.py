@@ -1,13 +1,17 @@
 import functools
+import json
+import sys
 import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ginvspaces import decomposition
+from ginvspaces import cli, decomposition
 from ginvspaces.decomposition import (
+    Frame,
     MinimalSpace,
     VERDICT_G_COLLECTION,
     VERDICT_NOT_UNIQUE,
@@ -17,6 +21,7 @@ from ginvspaces.decomposition import (
     commutant_basis,
     completeness_residual,
     first_support_index,
+    frame,
     h_space,
     is_minimal,
     minimal_decomposition,
@@ -26,6 +31,7 @@ from ginvspaces.decomposition import (
     rep_operators,
 )
 from ginvspaces.errors import InternalInconsistency, NotTransitive
+from ginvspaces.invariant_subspaces import direct_sum
 from ginvspaces.linalg import (
     Subspace,
     intersect,
@@ -608,8 +614,9 @@ def corrupted(space, vector):
 )
 def test_corrupted_space_raises_in_check_star_and_report(monkeypatch, vector):
     d5 = make(dihedral_generators(5))
-    spaces = minimal_decomposition(d5, seed=42)
+    spaces = list(minimal_decomposition(d5, seed=42))
     spaces[1] = corrupted(spaces[1], vector)
+    spaces = frame(spaces, d5)
     with pytest.raises(InternalInconsistency, match="space 1 .* point 0 with trace"):
         check_star(spaces, d5)
     certified = decomposition._decompose(d5, 42, 1e-9)
@@ -641,9 +648,9 @@ def test_draw_with_gamma_off_the_unit_diagonal_is_retried(monkeypatch):
     gram = decomposition.character_gram
     calls = []
 
-    def doubled_first(spaces, act):
-        calls.append(spaces)
-        return gram(spaces, act) * (2 if len(calls) == 1 else 1)
+    def doubled_first(w, starts, act):
+        calls.append(starts)
+        return gram(w, starts, act) * (2 if len(calls) == 1 else 1)
 
     monkeypatch.setattr(decomposition, "character_gram", doubled_first)
     spaces = minimal_decomposition(action, seed=5)
@@ -683,10 +690,6 @@ def intertwiner_dimension_dense(u, v, action, tol=1e-9):
     return int(np.count_nonzero(s > tol * max(1.0, float(s[0]))))
 
 
-def as_space(basis):
-    return MinimalSpace(id=0, space=Subspace(basis.shape[0], basis), eigenvalue=0.0)
-
-
 @pytest.mark.parametrize(
     "spec", ["cyclic:6", "dihedral:5", "symmetric:4", "regular:symmetric:3", "regular:dihedral:4"]
 )
@@ -695,17 +698,56 @@ def test_label_intertwiner_dimension_matches_dense_stack(spec):
     # on invariant sums of them: each pair sum (2 or 4) and the whole space (r)
     action = group_from_spec(spec)
     spaces = minimal_decomposition(action, seed=42)
-    gram = character_gram(spaces, action)
+    gram = spaces.gram
     assert max_abs(gram - np.rint(gram.real)) < 1e-9
     for a in spaces:
         for b in spaces:
             dense = intertwiner_dimension_dense(a.space.basis, b.space.basis, action)
             assert np.rint(gram[a.id, b.id].real) == dense
     r = len(commutant_basis(action))
-    pairs = [np.concatenate([a.space.basis, b.space.basis], axis=1)
-             for a in spaces for b in spaces if a.id < b.id]
+    pairs = [direct_sum([a.id, b.id], spaces).basis for a in spaces for b in spaces if a.id < b.id]
     whole = np.eye(action.n_points, dtype=complex)
     for v, allowed in [(v, (2, 4)) for v in pairs] + [(whole, (r,))]:
-        got = character_gram([as_space(v)], action)[0, 0]
+        got = character_gram(v, [0], action)[0, 0]
         assert abs(got - intertwiner_dimension_dense(v, v, action)) < 1e-9
         assert round(got.real) in allowed
+
+
+def test_frame_stacks_the_bases_once_and_is_the_sequence_of_its_spaces():
+    action = group_from_spec("regular:symmetric:3")
+    spaces = minimal_decomposition(action, seed=42)
+    assert isinstance(spaces, Frame) and isinstance(spaces, Sequence)
+    assert [s.dim for s in spaces] == [1, 1, 2, 2]
+    assert len(spaces) == 4 and list(spaces) == [spaces[i] for i in range(4)] == list(spaces.spaces)
+    assert spaces[-1] is spaces.spaces[-1] and spaces[1:3] == spaces.spaces[1:3]
+    assert [s.id for s in spaces] == [0, 1, 2, 3]
+    # a hand-built frame keeps the given order; W is bitwise the concatenated bases
+    for given in (spaces.spaces, spaces.spaces[::-1]):
+        built = frame(given, action)
+        dims = [s.dim for s in given]
+        assert built.starts.tolist() == np.cumsum([0] + dims[:-1]).tolist()
+        stacked = np.concatenate([s.space.basis for s in given], axis=1)
+        assert built.basis.dtype == stacked.dtype and built.basis.tobytes() == stacked.tobytes()
+        assert not built.basis.flags.writeable
+        assert list(built) == list(given)
+    assert frame(spaces, action).gram.tobytes() == spaces.gram.tobytes()
+    assert build_report(action, seed=42).spaces.basis.tobytes() == spaces.basis.tobytes()
+
+
+@pytest.mark.parametrize("spec", ["regular:symmetric:3", "regular:cyclic:48"])
+def test_decompose_builds_one_frame_and_one_gamma(monkeypatch, capsys, spec):
+    # regular symmetric:3 is not multiplicity-free, so the twisted-diagonal witness runs
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    originals = {name: getattr(decomposition, name) for name in ("frame", "character_gram")}
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "ginvspaces"]:
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:  # every binding, not just the defining one
+                monkeypatch.setattr(module, name, counted(name, fn))
+    assert cli.main(["decompose", "--group", spec]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["structure"]["twisted_diagonal_witness"] is None) == (spec == "regular:cyclic:48")
+    assert sorted(calls) == ["character_gram", "frame"]

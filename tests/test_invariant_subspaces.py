@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ginvspaces import invariant_subspaces
-from ginvspaces.decomposition import minimal_decomposition, multiplicity_free
+from ginvspaces.decomposition import frame, minimal_decomposition, multiplicity_free
 from ginvspaces.errors import InternalInconsistency, NotTransitive, StructureFailure
 from ginvspaces.invariant_subspaces import (
     SignatureSet,
@@ -287,7 +287,7 @@ def test_structure_failure_raised_for_incomplete_space_list():
     # whole space, but the direct sum over the truncated list cannot
     action, spaces = decompose(symmetric_generators(3))
     with pytest.raises(StructureFailure):
-        verify_structure(action, spaces[:1], trials=5, seed=1)
+        verify_structure(action, frame(spaces[:1], action), trials=5, seed=1)
 
 
 def test_norm_equivalence_of_membership_in_the_finite_model():
@@ -370,11 +370,12 @@ def test_roundtrip_fails_on_overlapping_spaces():
     for s in spaces:
         sub = Subspace(6, tilted if s.id == 1 else s.space.basis, tol=1e-3)
         loose.append(replace(s, space=sub))
+    loose = frame(loose, action)
     assert signature_roundtrip_exhaustive(loose) == roundtrip_per_subset(loose) == (False, 64)
 
 
 def test_roundtrip_rejects_a_direct_sum_that_is_not_orthonormal():
     action, spaces = decompose(cyclic_generators(6))
-    repeated = list(spaces) + [replace(spaces[0], id=len(spaces))]
+    repeated = frame(list(spaces) + [replace(spaces[0], id=len(spaces))], action)
     with pytest.raises(ValueError):
         signature_roundtrip_exhaustive(repeated)
