@@ -43,7 +43,8 @@ from .invariant_subspaces import (
     twisted_diagonal_witness,
     verify_structure,
 )
-from .kernels import KernelFamily, KernelPropertyReport, kernel_family, verify_kernel_properties
+from .kernels import KernelFamily, KernelPropertyReport, frame_kernel_properties
+from .kernels import kernel_family, verify_kernel_properties
 from .linalg import (
     DEFAULT_TOL,
     Subspace,

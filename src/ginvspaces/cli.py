@@ -44,7 +44,7 @@ from .invariant_subspaces import (
     twisted_diagonal_witness,
     verify_structure,
 )
-from .kernels import kernel_family, verify_kernel_properties
+from .kernels import frame_kernel_properties
 from .linalg import DEFAULT_TOL
 from .perm_action import DEFAULT_CAP, group_from_spec, is_transitive, regular_action
 from .schur import dichotomy_trials
@@ -173,14 +173,8 @@ def run_decompose(args) -> dict:
     report = build_report(action, seed=seed, tol=tol)
     spaces = report.spaces
 
-    kernel_rows = []
-    kernel_max = 0.0
-    for s in spaces:
-        family = kernel_family(s, action.n_points)
-        kreport = verify_kernel_properties(family, s, action, tol=tol)
-        kernel_max = max(kernel_max, kreport.max_residual)
-        row = asdict(kreport)
-        kernel_rows.append({"id": row.pop("space_id"), **row})
+    kernels = frame_kernel_properties(spaces, tol)
+    kernel_rows = [{"id": row.pop("space_id"), **row} for row in map(asdict, kernels)]
 
     schur = dichotomy_trials(
         action, spaces, trials=args.schur_trials, seed=seed + _SCHUR_SEED_OFFSET, tol=tol
@@ -243,7 +237,7 @@ def run_decompose(args) -> dict:
             "verdict": report.verdict,
             "spaces": space_rows,
         },
-        "kernels": {"max_residual": kernel_max, "per_space": kernel_rows},
+        "kernels": {"max_residual": max(k.max_residual for k in kernels), "per_space": kernel_rows},
         "schur": {
             "pairs": schur.pairs,
             "trials_per_pair": schur.trials_per_pair,

@@ -14,7 +14,7 @@ is commutativity of the orbital algebra, tested on the row-0 products of its
 basis, and for a transitive action it holds exactly when Gamma = I.
 Invariance has one check, 2 max|P - M| with M the orbital mean of P: it bounds
 |P[g.x, g.y] - P[x, y]| over every group element g and every pair of points;
-the reported equivariance residual is that bound, the largest over the spaces.
+each space keeps it as its certificate, and the equivariance residual is the largest.
 A decomposition is one `Frame`: the spaces, their stacked basis W = [V_1 ... V_k]
 and Gamma, built once and read by every check that relates the spaces.
 """
@@ -54,12 +54,14 @@ class RepOperator:
 
 @dataclass(frozen=True)
 class MinimalSpace:
-    """One candidate: its basis and the eigenvalue of the generating commutant
-    element that produced it; `projector` is built from the basis on each read."""
+    """One candidate: its basis, the eigenvalue of the generating commutant element
+    that produced it, and its certificate 2 max|P - mean(P)|, P its projector;
+    `projector` is built from the basis on each read."""
 
     id: int
     space: Subspace
     eigenvalue: float
+    certificate: float
 
     @property
     def dim(self) -> int:
@@ -213,7 +215,7 @@ def minimal_decomposition(action: GroupAction, seed: int = 42, tol: float = DEFA
 
 
 def _decompose(action: GroupAction, seed: int, tol: float) -> tuple:
-    """(frame, completeness, orthogonality, equivariance) of the first draw to pass."""
+    """(frame, completeness, orthogonality) of the first draw to pass."""
     last = None
     for attempt in range(RETRIES):
         try:
@@ -239,17 +241,16 @@ def _decompose_once(action: GroupAction, seed: int, tol: float) -> tuple:
     w, v = hermitian_eig(m, tol)
     gap = EIG_CLUSTER_TOL * max(1.0, max_abs(m))
 
-    candidates = []
-    lo, equivariance = 0, 0.0
+    candidates, lo = [], 0
     for i in range(1, n + 1):
         if i == n or w[i] - w[i - 1] > gap:
             sub = Subspace(n, v[:, lo:i], tol)
-            p = projector(sub)
+            p = projector(sub)  # the space's one n x n projector
             residual = _invariance_residual(p, labels)
-            # K = nP: every kernel identity that can fail here is within 2n max|P - mean(P)|
+            # kept with the space: each kernel identity of K = nP that can fail is within n times it
             _certify("cluster commutant", n * residual, tol)
-            equivariance = max(equivariance, residual)
-            candidates.append((MinimalSpace(len(candidates), sub, float(w[lo])), p[0].copy()))
+            space = MinimalSpace(len(candidates), sub, float(w[lo]), residual)
+            candidates.append((space, p[0].copy()))
             lo = i
 
     ordered = sorted(candidates, key=functools.cmp_to_key(_compare_candidates))
@@ -257,7 +258,7 @@ def _decompose_once(action: GroupAction, seed: int, tol: float) -> tuple:
     _certify("character Gram diagonal", max_abs(np.diagonal(spaces.gram) - 1), tol)
     completeness = _certify("completeness", completeness_residual(spaces, n), tol)
     orthogonality = _certify("orthogonality", orthogonality_residual(spaces), tol)
-    return spaces, completeness, orthogonality, equivariance
+    return spaces, completeness, orthogonality
 
 
 def first_support_index(p: np.ndarray, tol: float = _FINGERPRINT_TOL) -> int:
@@ -346,7 +347,7 @@ def orthogonality_residual(spaces: Frame) -> float:
 
 def build_report(action: GroupAction, seed: int = 42, tol: float = DEFAULT_TOL) -> GCollectionReport:
     """Assemble the decomposition, residuals, star table, and verdict."""
-    spaces, completeness, orthogonality, equivariance = _decompose(action, seed, tol)
+    spaces, completeness, orthogonality = _decompose(action, seed, tol)
     mf = multiplicity_free(action)
     star = check_star(spaces, action, tol)
     # each star entry is the multiplicity of its space's isotype, a row sum of
@@ -363,7 +364,7 @@ def build_report(action: GroupAction, seed: int = 42, tol: float = DEFAULT_TOL) 
         spaces=spaces,
         completeness_residual=completeness,
         orthogonality_residual=orthogonality,
-        equivariance_residual=equivariance,
+        equivariance_residual=max(s.certificate for s in spaces),
         multiplicity_free=mf,
         star_table=star,
         verdict=verdict,

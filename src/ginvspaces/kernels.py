@@ -2,14 +2,18 @@
 
 Under the uniform-probability inner product the kernel of point evaluation of
 the projection is K_x(y) = n * P[y, x]: the projector rescaled by the number
-of points. The verifier checks the five kernel identities numerically:
-Hermitian symmetry, reproduction, equivariance, stabilizer fixity, and a
-constant positive diagonal (which the trace forces to equal the space
-dimension). Reproduction, f(x) = <f, K_x> for every f in the space, is linear
-in f, so it is read on the space's orthonormal basis V as max|K V / n - V|;
-with symmetry and membership (K = P K) that forces K = nP up to rounding.
-Equivariance and stabilizer fixity are read off label-class means, so each
-residual bounds its identity over every group element and every point.
+of points. The identities are Hermitian symmetry, reproduction, equivariance,
+stabilizer fixity, a constant positive diagonal (the trace forces it to equal
+the space dimension), and membership, K = P K.
+
+`frame_kernel_properties`, the pipeline's reader, takes each space's basis V and
+certificate, O(n d^2) with no n x n array. With E = V^H V - I: symmetry is 0, as
+K = n V V^H is Hermitian by construction; reproduction, linear in f, is read on
+the basis, K V / n - V = V E; and K_xx = n ||V[x, :]||^2. Three rows are bounds:
+equivariance and stabilizer fixity read n times the certificate 2 max|P - mean(P)|,
+which bounds |K(g.x, g.y) - K(x, y)| over every g, and membership,
+K - P K = -n V E V^H, reads max_x ||(V E)[x, :]|| sqrt(n max K_yy) (Cauchy-Schwarz).
+The oracle, `verify_kernel_properties`, reads an explicit kernel matrix in O(n^2).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomposition import MinimalSpace, _invariance_residual
+from .decomposition import Frame, MinimalSpace, _invariance_residual
 from .errors import PropertyViolation
 from .linalg import DEFAULT_TOL, bin_sums, max_abs
 from .perm_action import GroupAction
@@ -91,16 +95,37 @@ def verify_kernel_properties(
     means = bin_sums(classes, k[shared], size.size * n).reshape(n, -1) / size
     stabilizer_fix = 2 * max_abs(k[shared] - means.ravel()[classes])
 
-    diag = np.diagonal(k)
-    dim = space.dim
+    membership = max_abs(k - v @ (v.conj().T @ k))
+    return _checked_report(family.space_id, space.dim, np.diagonal(k), tol, symmetry,
+                           reproduction, equivariance, stabilizer_fix, membership)
+
+
+def frame_kernel_properties(spaces: Frame, tol: float = DEFAULT_TOL) -> list:
+    """`verify_kernel_properties`' report for every space of a certified decomposition,
+    read off its basis and certificate as the module docstring says, with the same
+    PropertyViolation checks."""
+    reports = []
+    for s in spaces:
+        v = s.space.basis
+        n = v.shape[0]
+        ve = v @ (v.conj().T @ v - np.eye(s.dim))  # K V / n - V
+        diag = n * np.sum(np.abs(v) ** 2, axis=1)  # K_xx
+        membership = float(np.sqrt(np.sum(np.abs(ve) ** 2, axis=1).max() * n * diag.max()))
+        bound = n * s.certificate
+        reports.append(
+            _checked_report(s.id, s.dim, diag, tol, 0.0, max_abs(ve), bound, bound, membership)
+        )
+    return reports
+
+
+def _checked_report(space_id, dim, diag, tol, symmetry, reproduction, equivariance,
+                    stabilizer_fix, membership) -> KernelPropertyReport:
+    """The report of the identity rows and the kernel diagonal, after PropertyViolation
+    names the first identity past tol, or else a nonpositive diagonal."""
     diagonal_spread = float(max_abs(diag - diag.mean())) if diag.size else 0.0
     diagonal_dim_gap = float(max_abs(diag - dim)) if dim > 0 else float(max_abs(diag))
-    diagonal_value = float(diag.real.mean()) if diag.size else 0.0
-
-    membership = max_abs(k - v @ (v.conj().T @ k))
-
     report = KernelPropertyReport(
-        space_id=family.space_id,
+        space_id=space_id,
         symmetry=symmetry,
         reproduction=reproduction,
         equivariance=equivariance,
@@ -108,9 +133,8 @@ def verify_kernel_properties(
         diagonal_spread=diagonal_spread,
         diagonal_dim_gap=diagonal_dim_gap,
         membership=membership,
-        diagonal_value=diagonal_value,
+        diagonal_value=float(diag.real.mean()) if diag.size else 0.0,
     )
-
     checks = [
         ("1-symmetry", symmetry),
         ("2-reproduction", reproduction),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ginvspaces import cli, decomposition
+from ginvspaces import cli, decomposition, kernels
 from ginvspaces.decomposition import (
     Frame,
     MinimalSpace,
@@ -295,14 +295,14 @@ def intertwiner_dimension_bruteforce(p, action):
 def test_one_dimensional_invariant_space_is_minimal():
     c2 = make(cyclic_generators(2))
     constants = orthonormalize(np.ones((2, 1), dtype=complex))
-    ms = MinimalSpace(id=0, space=constants, eigenvalue=0.0)
+    ms = MinimalSpace(id=0, space=constants, eigenvalue=0.0, certificate=0.0)
     assert is_minimal(ms, c2)
 
 
 def test_full_space_of_c2_is_not_minimal():
     c2 = make(cyclic_generators(2))
     full = Subspace(2, np.eye(2, dtype=complex))
-    ms = MinimalSpace(id=0, space=full, eigenvalue=0.0)
+    ms = MinimalSpace(id=0, space=full, eigenvalue=0.0, certificate=0.0)
     assert not is_minimal(ms, c2)
 
 
@@ -598,10 +598,12 @@ def test_reported_equivariance_bounds_every_element(perfbench, spec):
     assert oracle <= report.equivariance_residual <= 1e-9 / action.n_points
 
 
-def corrupted(space, vector):
-    """`space` with its subspace replaced by the span of one vector."""
+def corrupted(space, vector, action):
+    """`space` with its subspace replaced by the span of one vector, and that span's
+    certificate."""
     sub = orthonormalize(np.asarray(vector, dtype=complex)[:, None])
-    return MinimalSpace(id=space.id, space=sub, eigenvalue=0.0)
+    certificate = decomposition._invariance_residual(projector(sub), action.orbital_labels)
+    return MinimalSpace(id=space.id, space=sub, eigenvalue=0.0, certificate=certificate)
 
 
 @pytest.mark.parametrize(
@@ -615,7 +617,7 @@ def corrupted(space, vector):
 def test_corrupted_space_raises_in_check_star_and_report(monkeypatch, vector):
     d5 = make(dihedral_generators(5))
     spaces = list(minimal_decomposition(d5, seed=42))
-    spaces[1] = corrupted(spaces[1], vector)
+    spaces[1] = corrupted(spaces[1], vector, d5)
     spaces = frame(spaces, d5)
     with pytest.raises(InternalInconsistency, match="space 1 .* point 0 with trace"):
         check_star(spaces, d5)
@@ -736,18 +738,34 @@ def test_frame_stacks_the_bases_once_and_is_the_sequence_of_its_spaces():
 
 @pytest.mark.parametrize("spec", ["regular:symmetric:3", "regular:cyclic:48"])
 def test_decompose_builds_one_frame_and_one_gamma(monkeypatch, capsys, spec):
-    # regular symmetric:3 is not multiplicity-free, so the twisted-diagonal witness runs
-    calls = []
+    # regular symmetric:3 is not multiplicity-free, so the twisted-diagonal witness runs.
+    # The kernel rows are read off the frame: no kernel K = nP is built, no
+    # `MinimalSpace.projector` is read, and each space's projector is formed once, in
+    # `_decompose_once`, where its certificate is computed.
+    names = ("frame", "character_gram", "projector")
+    originals = {name: getattr(decomposition, name) for name in names}
+    originals |= {name: getattr(kernels, name) for name in ("kernel_family", "verify_kernel_properties")}
+    calls = {name: [] for name in originals}  # (args, result) of every call
 
     def counted(name, fn):
-        return lambda *args: calls.append(name) or fn(*args)
+        return lambda *a, **kw: calls[name].append((a, fn(*a, **kw))) or calls[name][-1][1]
 
-    originals = {name: getattr(decomposition, name) for name in ("frame", "character_gram")}
     for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "ginvspaces"]:
         for name, fn in originals.items():
             if getattr(module, name, None) is fn:  # every binding, not just the defining one
                 monkeypatch.setattr(module, name, counted(name, fn))
+    reads = []
+    built = decomposition.MinimalSpace.projector.fget
+    monkeypatch.setattr(
+        decomposition.MinimalSpace, "projector", property(lambda s: reads.append(s.id) or built(s))
+    )
     assert cli.main(["decompose", "--group", spec]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["structure"]["twisted_diagonal_witness"] is None) == (spec == "regular:cyclic:48")
-    assert sorted(calls) == ["character_gram", "frame"]
+    counts = {name: len(made) for name, made in calls.items() if name != "projector"}
+    assert counts == {"frame": 1, "character_gram": 1, "kernel_family": 0,
+                      "verify_kernel_properties": 0}
+    [(_, spaces)] = calls["frame"]
+    assert len(spaces) == report["decomposition"]["n_spaces"] and reads == []
+    projected = [args[0] for args, _ in calls["projector"]]
+    assert [sum(sub is s.space for sub in projected) for s in spaces] == [1] * len(spaces)

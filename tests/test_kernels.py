@@ -1,9 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ginvspaces.decomposition import MinimalSpace, minimal_decomposition
+from ginvspaces.decomposition import (
+    MinimalSpace,
+    _invariance_residual,
+    frame,
+    minimal_decomposition,
+)
 from ginvspaces.errors import PropertyViolation
-from ginvspaces.kernels import KernelFamily, kernel_family, verify_kernel_properties
+from ginvspaces.kernels import (
+    KernelFamily,
+    frame_kernel_properties,
+    kernel_family,
+    verify_kernel_properties,
+)
 from ginvspaces.linalg import Subspace, max_abs, orthonormalize, projector, subspace_equal
 from ginvspaces.perm_action import (
     GroupAction,
@@ -18,6 +30,13 @@ from ginvspaces.perm_action import (
 def decompose(gens, seed=42):
     action = enumerate_group(gens)
     return action, minimal_decomposition(action, seed=seed)
+
+
+def space_of(sub, action):
+    """A hand-built space, with its certificate 2 max|P - mean(P)| read as the
+    decomposition reads it."""
+    certificate = _invariance_residual(projector(sub), action.orbital_labels)
+    return MinimalSpace(id=0, space=sub, eigenvalue=0.0, certificate=certificate)
 
 
 def constants_space_of(spaces):
@@ -44,7 +63,7 @@ def test_c4_character_kernels_match_dft_oracle():
 
 def test_rank_zero_space_gives_zero_family():
     zero = Subspace(3, np.zeros((3, 0), dtype=complex))
-    ms = MinimalSpace(id=0, space=zero, eigenvalue=0.0)
+    ms = MinimalSpace(id=0, space=zero, eigenvalue=0.0, certificate=0.0)
     fam = kernel_family(ms, 3)
     assert max_abs(fam.matrix) == 0.0
 
@@ -123,7 +142,7 @@ def test_family_changed_inside_the_commutant_violates_only_membership():
     # with diagonal 1
     c4 = enumerate_group(cyclic_generators(4))
     lines = [orthonormalize((1j ** (j * np.arange(4)))[:, None]) for j in range(3)]
-    space = MinimalSpace(id=0, space=lines[1], eigenvalue=0.0)
+    space = space_of(lines[1], c4)
     k = kernel_family(space, 4).matrix + 4 * (projector(lines[0]) - projector(lines[2]))
     with pytest.raises(PropertyViolation) as err:
         verify_kernel_properties(KernelFamily(0, k), space, c4)
@@ -199,8 +218,7 @@ def broken_away_from_point_0():
     """S4 without generators and K = 4 u u^H, u = (2, 1, 1, 1) / sqrt 7: column 0
     is fixed by the stabilizer of 0, and the other columns are not (4/7 off)."""
     s4 = enumerate_group(symmetric_generators(4))
-    space = MinimalSpace(id=0, space=orthonormalize(np.array([[2.0], [1.0], [1.0], [1.0]])),
-                         eigenvalue=0.0)
+    space = space_of(orthonormalize(np.array([[2.0], [1.0], [1.0], [1.0]])), s4)
     return GroupAction(4, [], s4.images), space, kernel_family(space, 4).matrix
 
 
@@ -227,7 +245,7 @@ def test_stabilizer_fixity_fails_on_its_own_inside_the_equivariance_bound():
     # the stabilizer of 0 moves 1, 2, 3, where column 0 of E holds (1, -1, -1) a
     # with mean -a/3, so stabilizer fixity reads 2 (4a/3) = 1.2e-9 > tol
     s4 = enumerate_group(symmetric_generators(4))
-    space = MinimalSpace(id=0, space=orthonormalize(np.ones((4, 1))), eigenvalue=0.0)
+    space = space_of(orthonormalize(np.ones((4, 1))), s4)
     a = 0.45e-9
     e = np.zeros((4, 4))
     e[1, 0], e[2, 0], e[3, 0], e[2, 3] = 1, -1, -1, 1
@@ -237,3 +255,53 @@ def test_stabilizer_fixity_fails_on_its_own_inside_the_equivariance_bound():
         verify_kernel_properties(KernelFamily(0, k), space, s4)
     assert err.value.prop == "4-stabilizer-fix"
     assert err.value.residual == pytest.approx(8 * a / 3, rel=1e-6)
+
+
+# every row but stabilizer fixity
+MEASURED = ("symmetry", "reproduction", "equivariance", "diagonal_spread", "diagonal_dim_gap",
+            "membership", "diagonal_value")
+# the acceptance battery with its negative control, and three larger regular actions
+AGREEMENT = (
+    [f"regular:cyclic:{n}" for n in range(2, 13)]
+    + ["symmetric:3", "symmetric:4"]
+    + [f"dihedral:{n}" for n in range(3, 9)]
+    + ["regular:symmetric:3", "regular:symmetric:5", "regular:dihedral:30", "regular:cyclic:48"]
+)
+
+
+@pytest.mark.parametrize("spec", AGREEMENT)
+def test_frame_rows_agree_with_the_oracle(spec):
+    # each row is the oracle's up to the --tol floor 16 n eps, except stabilizer fixity:
+    # it reads the equivariance bound, which the oracle's 0 on a trivial stabilizer can
+    # sit far below, and which rounding can put a few ulps under the oracle's row
+    action = group_from_spec(spec)
+    n = action.n_points
+    rounding = 16 * n * np.finfo(float).eps
+    spaces = minimal_decomposition(action, seed=42)
+    for s, row in zip(spaces, frame_kernel_properties(spaces), strict=True):
+        oracle = verify_kernel_properties(kernel_family(s, n), s, action)
+        assert row.space_id == oracle.space_id == s.id and row.symmetry == 0.0
+        for name in MEASURED:
+            assert getattr(row, name) == pytest.approx(getattr(oracle, name), abs=rounding)
+        assert row.stabilizer_fix == row.equivariance == n * s.certificate
+        assert row.stabilizer_fix >= oracle.stabilizer_fix - rounding
+
+
+def test_scaled_basis_fails_the_same_identity_in_both_readers():
+    # (1 + delta) V passes Subspace's orthonormality tol, V^H V - I = 8e-10 I, but its
+    # kernel diagonal (1 + delta)^2 d is 1.6e-9 off a plane's dimension
+    action = group_from_spec("regular:symmetric:3")
+    plane = next(s for s in minimal_decomposition(action, seed=42) if s.dim == 2)
+    mutant = replace(plane, space=Subspace(6, (1 + 4e-10) * plane.space.basis))
+    with pytest.raises(PropertyViolation) as read:
+        frame_kernel_properties(frame([mutant], action))
+    with pytest.raises(PropertyViolation) as oracle:
+        verify_kernel_properties(kernel_family(mutant, 6), mutant, action)
+    assert read.value.prop == oracle.value.prop == "5-diagonal"
+    assert read.value.residual == pytest.approx(oracle.value.residual, rel=1e-6)
+    assert read.value.residual == pytest.approx(1.6e-9, rel=1e-3)
+    [row] = frame_kernel_properties(frame([mutant], action), tol=np.inf)
+    report = verify_kernel_properties(kernel_family(mutant, 6), mutant, action, tol=np.inf)
+    for name in ("reproduction", "diagonal_spread", "diagonal_dim_gap", "membership"):
+        assert getattr(row, name) == pytest.approx(getattr(report, name), rel=1e-4, abs=1e-14)
+    assert row.reproduction > 1e-10 and row.membership > 1e-10
